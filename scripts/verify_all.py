@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Run the full desk-scale verification battery through the CLI.
 
-Prints one line per job and exits nonzero if any claim fails.  Respects
-TOKUYAMA_THREADS for the oracle sweep.
+Prints one line per job with its verdict and wall-clock runtime, then a
+summary.  A job that exits 1 with a JSON report is a verification failure;
+a usage or budget error (exit 2), a traceback, or output that is not a
+report is an error.  Exits 0 when every job passes, 1 when some claim
+fails and nothing errs, 2 when any job errs.  Respects TOKUYAMA_THREADS
+for the oracle sweep.
 """
 
 import itertools
 import json
 import subprocess
 import sys
+import time
 
 JOBS = []
 for lam in range(7):
@@ -18,6 +23,7 @@ for lam in itertools.product(range(3), repeat=2):
 for lam in itertools.product(range(2), repeat=3):
     JOBS.append(("theorem1", ["--rank", "3", "--lambda", ",".join(map(str, lam))]))
 JOBS += [
+    ("theorem1", ["--rank", "3", "--lambda", "2,1,1"]),  # the rank-3 frontier
     ("corollary2", ["--rank", "2", "--lambda", "3,2"]),
     ("gh", ["--lambda", "3,2"]),
     ("gh", ["--lambda", "1,1,1"]),
@@ -38,24 +44,39 @@ JOBS += [
 ]
 
 
+def outcome(proc) -> str:
+    """pass / fail (a verification failure) / error."""
+    if proc.returncode in (0, 1) and "Traceback" not in proc.stderr:
+        try:
+            verdict = json.loads(proc.stdout)["verdict"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            return "error"
+        if (proc.returncode, verdict) == (0, "pass"):
+            return "pass"
+        if (proc.returncode, verdict) == (1, "fail"):
+            return "fail"
+    return "error"
+
+
 def main():
-    failures = 0
+    tally = {"pass": 0, "fail": 0, "error": 0}
     for claim, args in JOBS:
         cmd = [sys.executable, "-m", "spinchar", "verify", claim] + args
+        start = time.perf_counter()
         proc = subprocess.run(cmd, capture_output=True, text=True)
-        verdict = "error"
-        if proc.stdout.strip():
-            try:
-                verdict = json.loads(proc.stdout)["verdict"]
-            except json.JSONDecodeError:
-                pass
-        print(f"{claim:14s} {' '.join(args):42s} -> {verdict}")
-        if proc.returncode != 0:
-            failures += 1
-            if proc.stderr:
-                print("   ", proc.stderr.strip())
-    print(f"\n{len(JOBS) - failures}/{len(JOBS)} jobs passed")
-    return 1 if failures else 0
+        elapsed = time.perf_counter() - start
+        result = outcome(proc)
+        tally[result] += 1
+        print(f"{claim:14s} {' '.join(args):42s} -> {result:5s} {elapsed:8.2f}s")
+        if result == "error" and proc.stderr:
+            print("   ", proc.stderr.strip())
+    print(
+        f"\n{tally['pass']}/{len(JOBS)} jobs passed, "
+        f"{tally['fail']} failed verification, {tally['error']} errors"
+    )
+    if tally["error"]:
+        return 2
+    return 1 if tally["fail"] else 0
 
 
 if __name__ == "__main__":

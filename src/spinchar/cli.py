@@ -1,6 +1,8 @@
 """Command line interface: verify / enumerate / coeff.
 
-Exit codes: 0 = pass, 1 = verification failure, 2 = usage or budget error.
+Exit codes: 0 = pass, 1 = verification failure, 2 = usage or budget error
+(a malformed call, or a ValueError raised by the library on its input, is
+reported in one line on stderr).
 Reports are emitted as JSON on stdout (deterministic; runtime_ms is null
 unless --timing is given).  TOKUYAMA_THREADS caps the worker pool used for
 independent oracle instances in the prop4 sweep.
@@ -34,6 +36,23 @@ def _parse_ints(text: str) -> tuple:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 
+def _dominant_lambda(args, claim: str) -> tuple:
+    """--lambda as a dominant weight, and the rank, which --rank must match."""
+    lam = _parse_ints(args.lam)
+    r = args.rank if args.rank is not None else len(lam)
+    if r < 1 or len(lam) != r or any(x < 0 for x in lam):
+        raise UsageError(f"{claim} needs --rank >= 1 and a dominant --lambda")
+    return lam, r
+
+
+def _prime(args) -> int:
+    """--p, default 3; the oracle sums need a prime."""
+    p = 3 if args.p is None else args.p
+    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise UsageError(f"--p must be a prime, got {p}")
+    return p
+
+
 def _threads() -> int:
     try:
         return max(1, int(os.environ.get("TOKUYAMA_THREADS", "1")))
@@ -45,10 +64,7 @@ def _threads() -> int:
 
 
 def _verify_theorem1(args) -> Report:
-    lam = _parse_ints(args.lam)
-    r = args.rank if args.rank is not None else len(lam)
-    if r < 1 or len(lam) != r or any(x < 0 for x in lam):
-        raise UsageError("theorem1 needs --rank >= 1 and a dominant --lambda")
+    lam, r = _dominant_lambda(args, "theorem1")
     mu = tuple(l + 1 for l in lam)
     lhs = rootdata.deformed_denominator(r) * rootdata.weyl_numerator(
         rootdata.lambda_to_evee(mu), r
@@ -66,10 +82,7 @@ def _verify_theorem1(args) -> Report:
 
 
 def _verify_corollary2(args) -> Report:
-    lam = _parse_ints(args.lam)
-    r = args.rank if args.rank is not None else len(lam)
-    if r < 1 or len(lam) != r or any(x < 0 for x in lam):
-        raise UsageError("corollary2 needs --rank >= 1 and a dominant --lambda")
+    lam, r = _dominant_lambda(args, "corollary2")
     lhs = gtpatterns.tokuyama_rhs(lam, r)
     rhs = tableaux.corollary_rhs(lam, r)
     rep = Report("corollary2", {"rank": r, "lambda": list(lam)})
@@ -80,7 +93,7 @@ def _verify_corollary2(args) -> Report:
 
 
 def _verify_prop3(args) -> Report:
-    lam = _parse_ints(args.lam)
+    lam, _ = _dominant_lambda(args, "prop3")
     res = whittaker.prop3_check(lam)
     rep = Report("prop3", {"lambda": list(lam)})
     rep.counts = {"checked": res.checked}
@@ -89,7 +102,7 @@ def _verify_prop3(args) -> Report:
 
 
 def _verify_gh(args) -> Report:
-    lam = _parse_ints(args.lam)
+    lam, _ = _dominant_lambda(args, "gh")
     res = whittaker.gh_check(lam)
     rep = Report("gh", {"lambda": list(lam)})
     rep.counts = {"checked": res.checked}
@@ -119,7 +132,7 @@ def _verify_prop4(args) -> Report:
     r = args.rank if args.rank is not None else len(mu)
     if len(mu) != r or r < 2 or any(m < 1 for m in mu):
         raise UsageError("prop4 needs rank >= 2 and positive --mu")
-    p = args.p or 3
+    p = _prime(args)
     tol = args.tol
     dmax = args.dmax
     jobs = []
@@ -181,7 +194,7 @@ def _verify_prop6(args) -> Report:
     mu = _parse_ints(args.mu)
     if len(mu) < 2 or any(m < 1 for m in mu):
         raise UsageError("prop6 needs rank >= 2 and positive --mu")
-    p = args.p or 3
+    p = _prime(args)
     rep = Report(
         "prop6", {"mu": list(mu), "p": p, "tol": args.tol, "kmax": args.kmax}
     )
@@ -335,10 +348,7 @@ def _enumerate(args) -> int:
 
 
 def _coeff(args) -> int:
-    lam = _parse_ints(args.lam)
-    r = args.rank if args.rank is not None else len(lam)
-    if r < 1 or len(lam) != r or any(x < 0 for x in lam):
-        raise UsageError("coeff needs --rank >= 1 and a dominant --lambda")
+    lam, r = _dominant_lambda(args, "coeff")
     product = rootdata.deformed_denominator(r) * rootdata.character(lam, r)
     if args.t0:
         product = product.substitute({"t": 0})
@@ -353,6 +363,36 @@ def _coeff(args) -> int:
 
 
 # -- entry point ---------------------------------------------------------------
+
+# The flags each subcommand cannot run without, keyed by (command, claim or
+# enumeration kind); checked before any work starts.
+_REQUIRED = {
+    **{("verify", c): ("lam",) for c in ("theorem1", "corollary2", "prop3", "gh")},
+    **{
+        ("verify", c): ("mu",)
+        for c in ("prop4", "prop5", "prop6", "lemma3", "lemma10-equiv")
+    },
+    ("enumerate", "gt"): ("mu",),
+    ("enumerate", "tableaux"): ("mu",),
+    ("enumerate", "omega"): ("mu",),
+    ("enumerate", "cq"): ("muprime",),
+    ("coeff", None): ("lam",),
+}
+_FLAGS = {"lam": "--lambda", "mu": "--mu", "muprime": "--muprime"}
+
+
+def _check_required(args) -> None:
+    what = getattr(args, "claim", None) or getattr(args, "kind", None)
+    for dest in _REQUIRED[(args.command, what)]:
+        if not getattr(args, dest):
+            label = f"{args.command} {what}" if what else args.command
+            raise UsageError(f"{label} needs {_FLAGS[dest]}")
+
+
+def _usage_exit(prefix: str, exc: Exception) -> int:
+    """One line on stderr, usage exit code."""
+    print(f"{prefix}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("coeff", help="print a coefficient of the product")
     c.add_argument("--rank", type=int, default=None)
-    c.add_argument("--lambda", dest="lam", required=True)
+    c.add_argument("--lambda", dest="lam", default=None)
     c.add_argument("--fix", action="append", metavar="VAR=EXP")
     c.add_argument("--t0", action="store_true")
     return ap
@@ -401,14 +441,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_required(args)
         if args.command == "verify":
-            needs_lambda = args.claim in ("theorem1", "corollary2", "prop3", "gh")
-            if needs_lambda and not args.lam:
-                raise UsageError(f"{args.claim} needs --lambda")
-            if not needs_lambda and args.claim != "lemma10-equiv" and not args.mu:
-                raise UsageError(f"{args.claim} needs --mu")
-            if args.claim == "lemma10-equiv" and not args.mu:
-                raise UsageError("lemma10-equiv needs --mu")
             start = time.monotonic()
             report = _VERIFIERS[args.claim](args)
             if args.timing:
@@ -424,12 +458,11 @@ def main(argv=None) -> int:
             return _enumerate(args)
         if args.command == "coeff":
             return _coeff(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except padic.BudgetExceededError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_exit("budget error", exc)
+    except (UsageError, ValueError) as exc:
+        # A library ValueError means the input is outside what it accepts.
+        return _usage_exit("error", exc)
     return USAGE_ERROR
 
 

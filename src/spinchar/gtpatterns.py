@@ -17,13 +17,21 @@ a_{i-1,j}, minimal when it equals a_{i-1,j+1} (or is zero when j = r).
 Both conditions can hold only in the corner b_{i,r} = a_{i-1,r} = 0
 (degenerate top rows); the entry then counts as minimal, matching the
 rank-one weight table at b = mu = 0.
+
+Classes, statistics, wt_i and both circle tests of an entry in row b_i or
+a_i depend only on the slice (a_{i-1}, b_i, a_i), a ShortGTPattern, where
+they are defined; a GTPattern sums or conjoins them over its slices.  The
+pattern-side sum uses that locality directly (circle_sum, a transfer over
+a-rows); enumerate_strict with in_gt_circle is the independent oracle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, Monomial
 from .rootdata import upsilon
@@ -101,171 +109,166 @@ class GTPattern:
 
     # -- decorations -------------------------------------------------------
 
+    @cached_property
+    def slices(self) -> tuple:
+        """slices[i-1] = rows a_{i-1}, b_i, a_i as a ShortGTPattern of rank r-i+1."""
+        r, arows, brows = self.rank, self.arows, self.brows
+        return tuple([
+            _slice(r - i, arows[i], brows[i], arows[i + 1] if i + 1 < r else ())
+            for i in range(r)
+        ])
+
     def classify(self) -> dict:
         """Class of every entry below the top row, keyed ('a'|'b', i, j)."""
-        out = {}
-        r = self.rank
-        for i in range(1, r + 1):
-            for j in range(i, r + 1):
-                v = self.b(i, j)
-                minimal = (j < r and v == self.a(i - 1, j + 1)) or (
-                    j == r and v == 0
-                )
-                if minimal:  # zero right-edge entries stay minimal
-                    out[("b", i, j)] = MINIMAL
-                elif v == self.a(i - 1, j):
-                    out[("b", i, j)] = MAXIMAL
-                else:
-                    out[("b", i, j)] = GENERIC
-            if i <= r - 1:
-                for j in range(i + 1, r + 1):
-                    v = self.a(i, j)
-                    if v == self.b(i, j):
-                        out[("a", i, j)] = MAXIMAL
-                    elif v == self.b(i, j - 1):
-                        out[("a", i, j)] = MINIMAL
-                    else:
-                        out[("a", i, j)] = GENERIC
-        return out
+        return {
+            (kind, i, j + i - 1): cls
+            for i, s in enumerate(self.slices, 1)
+            for (kind, j), (cls, _) in s.entries.items()
+        }
 
     def c_stat(self, kind: str, i: int, j: int) -> int:
         """The accumulation statistic attached to an entry; empty sums are 0."""
-        if kind == "a":
-            return sum(self.b(i, m) - self.a(i, m + 1) for m in range(i, j))
-        if kind == "b":
-            tail = sum(
-                self.a(i - 1, k) + self.a(i, k) for k in range(j + 1, self.rank + 1)
-            )
-            return self.c_stat("a", i, j) + tail
-        raise ValueError(kind)
+        return self.slices[i - 1].c_stat(kind, 1, j - i + 1)
 
     def stats(self) -> "PatternStats":
-        gen = nmax = max0 = max1 = 0
-        for (kind, i, j), cls in self.classify().items():
-            if cls == GENERIC:
-                gen += 1
-            elif cls == MAXIMAL:
-                nmax += 1
-                if self.c_stat(kind, i, j) % 2:
-                    max1 += 1
-                else:
-                    max0 += 1
-        return PatternStats(gen, nmax, max0, max1)
+        return PatternStats(*map(sum, zip(*(s.stats() for s in self.slices))))
 
     def wt(self) -> tuple:
         """wt_i = sum(row a_{i-1}) - 2 sum(row b_i) + sum(row a_i)."""
-        r = self.rank
-        out = []
-        for i in range(1, r + 1):
-            v = sum(self.arows[i - 1]) - 2 * sum(self.brows[i - 1])
-            if i <= r - 1:
-                v += sum(self.arows[i])
-            out.append(v)
-        return tuple(out)
+        return tuple(s.wt1() for s in self.slices)
 
     def to_json(self) -> str:
-        cls = self.classify()
+        classes, cstats = {}, {}
+        for i, s in enumerate(self.slices, 1):
+            for (kind, j), (cls, c) in s.entries.items():
+                name = f"{kind}{i},{j + i - 1}"
+                classes[name] = cls
+                cstats[name] = c
         record = {
             "rank": self.rank,
             "rows": [list(row) for row in self.rows()],
             "stats": list(self.stats()),
-            "classes": {f"{k}{i},{j}": c for (k, i, j), c in sorted(cls.items())},
-            "cstats": {
-                f"{k}{i},{j}": self.c_stat(k, i, j) for (k, i, j) in sorted(cls)
-            },
+            "classes": classes,
+            "cstats": cstats,
             "wt": list(self.wt()),
             "in_circle": in_gt_circle(self),
         }
         return json.dumps(record, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class PatternStats:
+class PatternStats(NamedTuple):
     gen: int
     max: int
     max0: int
     max1: int
 
-    def __iter__(self):
-        return iter((self.gen, self.max, self.max0, self.max1))
-
 
 @dataclass(frozen=True)
 class ShortGTPattern:
-    """Top three rows a_0, b_1, a_1 of a rank-r pattern (a_1 length r-1)."""
+    """Top three rows a_0, b_1, a_1 of a rank-r pattern (a_1 length r-1).
+
+    This is also the slice type of a full pattern: rows a_{i-1}, b_i, a_i of
+    a rank-r pattern form a rank r-i+1 short pattern (a_1 empty at rank 1).
+    Entry classes, statistics and both circle tests are local to a slice.
+    """
 
     rank: int
     a0: tuple
     b1: tuple
     a1: tuple
+    # Derived once, when the slice is made, and read-only (slices are shared):
+    # {(kind, j): (class, c-statistic)} for the entries of b_1 and a_1, the
+    # statistics, and the circle flag.
+    entries: dict = field(init=False, repr=False, compare=False)
+    _stats: PatternStats = field(init=False, repr=False, compare=False)
+    _even: bool = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
-        r = self.rank
-        assert len(self.a0) == r and len(self.b1) == r and len(self.a1) == r - 1
-        for row in (self.a0, self.b1, self.a1):
-            assert all(x >= 0 for x in row)
-            assert all(row[k] > row[k + 1] for k in range(len(row) - 1))
-        if r >= 2:
-            assert self.a1[-1] >= 1, "the short bottom row must end positively"
+    def __post_init__(self):
+        # One pass: c(a_{1,j}) = sum_{m<j} (b_{1,m} - a_{1,m+1}) is ``ca``,
+        # and c(b_{1,j}) adds ``tail`` = sum_{k>j} (a_{0,k} + a_{1,k}).
+        r, a0, b1, a1 = self.rank, self.a0, self.b1, self.a1
+        entries = {}
+        ca, tail = 0, sum(a0) - a0[0] + sum(a1)
         for j in range(1, r + 1):
-            assert self.b1[j - 1] <= self.a0[j - 1]
+            v = b1[j - 1]
+            if (v == a0[j]) if j < r else (v == 0):
+                cls = MINIMAL  # zero right-edge entries stay minimal
+            elif v == a0[j - 1]:
+                cls = MAXIMAL
+            else:
+                cls = GENERIC
+            entries[("b", j)] = (cls, ca + tail)
+            if j >= 2:
+                v = a1[j - 2]
+                if v == b1[j - 1]:
+                    cls = MAXIMAL
+                elif v == b1[j - 2]:
+                    cls = MINIMAL
+                else:
+                    cls = GENERIC
+                entries[("a", j)] = (cls, ca)
             if j < r:
-                assert self.b1[j - 1] >= self.a0[j]
-        for j in range(2, r + 1):
-            assert self.b1[j - 2] >= self.a1[j - 2] >= self.b1[j - 1]
+                ca += b1[j - 1] - a1[j - 1]
+                tail -= a0[j] + a1[j - 1]
+        gen = nmax = max1 = 0
+        even = True
+        for cls, c in entries.values():
+            if cls == GENERIC:
+                gen += 1
+                even = even and c % 2 == 0
+            elif cls == MAXIMAL:
+                nmax += 1
+                max1 += c % 2
+        self.__dict__.update(  # frozen: bypass __setattr__
+            entries=entries,
+            _stats=PatternStats(gen, nmax, nmax - max1, max1),
+            _even=even,
+        )
 
     def classify(self) -> dict:
-        out = {}
-        r = self.rank
-        for j in range(1, r + 1):
-            v = self.b1[j - 1]
-            if (j < r and v == self.a0[j]) or (j == r and v == 0):
-                out[("b", 1, j)] = MINIMAL
-            elif v == self.a0[j - 1]:
-                out[("b", 1, j)] = MAXIMAL
-            else:
-                out[("b", 1, j)] = GENERIC
-        for j in range(2, r + 1):
-            v = self.a1[j - 2]
-            if v == self.b1[j - 1]:
-                out[("a", 1, j)] = MAXIMAL
-            elif v == self.b1[j - 2]:
-                out[("a", 1, j)] = MINIMAL
-            else:
-                out[("a", 1, j)] = GENERIC
-        return out
+        return {(kind, 1, j): cls for (kind, j), (cls, _) in self.entries.items()}
 
     def c_stat(self, kind: str, i: int, j: int) -> int:
         assert i == 1
-        r = self.rank
-        agetter = lambda jj: self.a1[jj - 2]
-        ca = sum(self.b1[m - 1] - agetter(m + 1) for m in range(1, j))
-        if kind == "a":
-            return ca
-        return ca + sum(self.a0[k - 1] + agetter(k) for k in range(j + 1, r + 1))
+        if kind not in ("a", "b"):
+            raise ValueError(kind)
+        return self.entries[(kind, j)][1]
 
     def stats(self) -> PatternStats:
-        gen = nmax = max0 = max1 = 0
-        for (kind, i, j), cls in self.classify().items():
-            if cls == GENERIC:
-                gen += 1
-            elif cls == MAXIMAL:
-                nmax += 1
-                if self.c_stat(kind, i, j) % 2:
-                    max1 += 1
-                else:
-                    max0 += 1
-        return PatternStats(gen, nmax, max0, max1)
+        return self._stats
 
     def in_circle(self) -> bool:
-        return all(
-            self.c_stat(k, i, j) % 2 == 0
-            for (k, i, j), cls in self.classify().items()
-            if cls == GENERIC
+        """Every generic entry has an even statistic."""
+        return self._even
+
+    def in_circle_by_row_parity(self, ref: int = None) -> bool:
+        """The slice's share of the row-parity characterization.
+
+        With parity reference ``ref`` (default a_{0,r} mod 2, the pattern's
+        mu_r): every a_1 entry has that parity, and b_1 has at most one
+        entry b_{1,j0} off it, right of which b_{1,j} = a_{1,j} = a_{0,j}.
+        """
+        if ref is None:
+            ref = self.a0[-1] % 2
+        a0, b1, a1 = self.a0, self.b1, self.a1
+        if any(v % 2 != ref for v in a1):
+            return False
+        bad = [j for j in range(self.rank) if b1[j] % 2 != ref]
+        if len(bad) > 1:
+            return False
+        return not bad or all(
+            b1[j] == a1[j - 1] == a0[j] for j in range(bad[0] + 1, self.rank)
         )
 
     def wt1(self) -> int:
         return sum(self.a0) - 2 * sum(self.b1) + sum(self.a1)
+
+
+@lru_cache(maxsize=1 << 16)
+def _slice(rank: int, a0: tuple, b1: tuple, a1: tuple) -> ShortGTPattern:
+    """A shared slice: the patterns of one top have few distinct slices
+    (618 among the 15,288 patterns of top (2,2,2)), so each is built once."""
+    return ShortGTPattern(rank, a0, b1, a1)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -341,11 +344,7 @@ def enumerate_short(muprime):
 
 def gt_circle_by_cstat(p: GTPattern) -> bool:
     """Membership by definition: every generic entry has an even statistic."""
-    return all(
-        p.c_stat(kind, i, j) % 2 == 0
-        for (kind, i, j), cls in p.classify().items()
-        if cls == GENERIC
-    )
+    return all(s.in_circle() for s in p.slices)
 
 
 def gt_circle_by_row_parity(p: GTPattern) -> bool:
@@ -355,22 +354,13 @@ def gt_circle_by_row_parity(p: GTPattern) -> bool:
     row match that parity; (2) each b-row has at most one mismatched entry
     b_{i,j0}, and to its right b_{i,j} = a_{i,j} = a_{i-1,j} for all j > j0.
     """
-    r = p.rank
     ref = p.arows[0][-1] % 2
-    for i in range(1, r):
-        for j in range(i + 1, r + 1):
-            if p.a(i, j) % 2 != ref:
-                return False
-    for i in range(1, r + 1):
-        bad = [j for j in range(i, r + 1) if p.b(i, j) % 2 != ref]
-        if len(bad) > 1:
-            return False
-        if bad:
-            j0 = bad[0]
-            for j in range(j0 + 1, r + 1):
-                if not (p.b(i, j) == p.a(i, j) == p.a(i - 1, j)):
-                    return False
-    return True
+    return all(s.in_circle_by_row_parity(ref) for s in p.slices)
+
+
+def _is_doubled(top) -> bool:
+    """Whether the top row comes from a doubled vector (mu_j even for j < r)."""
+    return all((top[k] - top[k + 1]) % 2 == 0 for k in range(len(top) - 1))
 
 
 def in_gt_circle(p: GTPattern, cross_check: bool = True) -> bool:
@@ -381,14 +371,12 @@ def in_gt_circle(p: GTPattern, cross_check: bool = True) -> bool:
     failure.  Outside that family only the parity definition applies.
     """
     value = gt_circle_by_cstat(p)
-    if cross_check:
-        mu = mu_of_top_row(p.arows[0])
-        if all(m % 2 == 0 for m in mu[:-1]):
-            alt = gt_circle_by_row_parity(p)
-            if alt != value:
-                raise RuntimeError(
-                    f"circle-membership characterizations disagree on {p}"
-                )
+    if cross_check and _is_doubled(p.arows[0]):
+        alt = gt_circle_by_row_parity(p)
+        if alt != value:
+            raise RuntimeError(
+                f"circle-membership characterizations disagree on {p}"
+            )
     return value
 
 
@@ -398,7 +386,90 @@ def enumerate_circle(mu):
             yield p
 
 
+def circle_sum(mu) -> dict:
+    """Statistics of the circle subset for top row from mu, without enumerating.
+
+    Returns {(wt, max, max1, gen): number of circle patterns}, the same
+    tally as over enumerate_circle(mu), by a slice transfer: every input to
+    a pattern's weight lives in one slice (a_{i-1}, b_i, a_i), so the rows
+    below an a-row are summed once (memoized on the a-row) and joined to
+    each slice above it.  A path carries two flags, "every slice even by
+    c-statistic" and "every slice passes row-parity", and is dropped once
+    both are false.  Both guards of the enumeration route hold: on a
+    doubled top a pattern whose flags differ raises RuntimeError, and max1
+    must be even on every circle pattern.
+    """
+    top = top_row(mu)
+    r = len(top)
+    if any(top[k] <= top[k + 1] for k in range(r - 1)):
+        return {}
+    ref = top[-1] % 2
+    doubled = _is_doubled(top)
+    memo = {(): {((), 0, 0, 0, True, True): 1}}
+
+    def below(arow):
+        """{(wt, max, max1, gen, by_cstat, by_rows): count} under an a-row."""
+        if arow in memo:
+            return memo[arow]
+        n = len(arow)
+        by_a1 = {}  # slice tallies grouped by the next a-row
+        for b in _interleavings(arow, n):
+            for a1 in _interleavings(b, n - 1, last_floor=1):
+                s = ShortGTPattern(n, arow, b, a1)
+                by_cstat = s.in_circle()
+                by_rows = s.in_circle_by_row_parity(ref) if doubled else by_cstat
+                if not (by_cstat or by_rows):
+                    continue
+                st = s.stats()
+                key = (s.wt1(), st.max, st.max1, st.gen, by_cstat, by_rows)
+                tally = by_a1.setdefault(a1, {})
+                tally[key] = tally.get(key, 0) + 1
+        out = {}
+        for a1, tally in by_a1.items():
+            rest = below(a1)
+            for (w, m, m1, g, fc, fr), count in tally.items():
+                for (tw, tm, tm1, tg, tfc, tfr), tcount in rest.items():
+                    fc2, fr2 = fc and tfc, fr and tfr
+                    if fc2 or fr2:
+                        key = ((w,) + tw, m + tm, m1 + tm1, g + tg, fc2, fr2)
+                        out[key] = out.get(key, 0) + count * tcount
+        memo[arow] = out
+        return out
+
+    total = {}
+    for (wt, nmax, max1, gen, by_cstat, by_rows), count in below(top).items():
+        if by_cstat != by_rows:
+            raise RuntimeError(
+                f"circle-membership characterizations disagree under top row {top}"
+            )
+        assert max1 % 2 == 0, f"odd max1 in circle subset under top row {top}"
+        total[(wt, nmax, max1, gen)] = count
+    return total
+
+
 # -- weights ----------------------------------------------------------------
+
+
+def add_weight_terms(terms: dict, zexp: tuple, coef: int, base_t: int, n: int) -> None:
+    """terms += coef * t^base_t (1+t)^n z^zexp (doubled z-exponents), in place.
+
+    Keeps ``terms`` canonical for LaurentPoly._make: zero sums are removed.
+    """
+    for jj in range(n + 1):
+        key = Monomial(zexp, base_t + jj, 0)
+        val = terms.get(key, 0) + coef * comb(n, jj)
+        if val:
+            terms[key] = val
+        else:
+            del terms[key]
+
+
+def add_g_terms(terms: dict, zexp: tuple, count: int, nmax: int, max1: int, gen: int) -> None:
+    """terms += count * G z^zexp, G = (-1)^(max1/2) t^(max - max1/2) (1+t)^gen."""
+    if max1 % 2:
+        raise ValueError(f"odd max1 statistic ({max1}); restrict to the circle subset")
+    sign = -1 if (max1 // 2) % 2 else 1
+    add_weight_terms(terms, zexp, sign * count, nmax - max1 // 2, gen)
 
 
 def g_weight(p: GTPattern) -> LaurentPoly:
@@ -412,39 +483,26 @@ def short_g_weight(p1: ShortGTPattern) -> LaurentPoly:
 
 
 def _g_from_stats(st: PatternStats, rank: int) -> LaurentPoly:
-    if st.max1 % 2:
-        raise ValueError(f"odd max1 statistic ({st.max1}); restrict to the circle subset")
-    sign = -1 if (st.max1 // 2) % 2 else 1
-    base_t = st.max - st.max1 // 2
     terms = {}
-    for jj in range(st.gen + 1):
-        terms[Monomial((0,) * rank, base_t + jj, 0)] = sign * comb(st.gen, jj)
-    return LaurentPoly(terms, rank)
+    add_g_terms(terms, (0,) * rank, 1, st.max, st.max1, st.gen)
+    return LaurentPoly._make(terms, rank)
 
 
 def tokuyama_rhs(lam, r: int = None) -> LaurentPoly:
     """Sum of G(P) z^(-wt(P)/2) over the circle subset for top row v(lam+rho).
 
-    Asserts the evenness of max1 on every contributing pattern.
+    Summed from circle_sum, so the evenness of max1 is asserted on every
+    contributing pattern and the two circle characterizations are
+    cross-checked on all of them.
     """
     lam = tuple(lam)
     if r is None:
         r = len(lam)
     mu = tuple(l + 1 for l in lam)
     terms = {}
-    for p in enumerate_circle(upsilon(mu)):
-        st = p.stats()
-        assert st.max1 % 2 == 0, f"odd max1 in circle subset: {p}"
-        sign = -1 if (st.max1 // 2) % 2 else 1
-        base_t = st.max - st.max1 // 2
-        zexp = tuple(-w for w in p.wt())  # doubled exponent of -wt/2
-        for jj in range(st.gen + 1):
-            key = Monomial(zexp, base_t + jj, 0)
-            val = terms.get(key, 0) + sign * comb(st.gen, jj)
-            if val:
-                terms[key] = val
-            else:
-                del terms[key]
+    for (wt, nmax, max1, gen), count in circle_sum(upsilon(mu)).items():
+        zexp = tuple(-w for w in wt)  # doubled exponent of -wt/2
+        add_g_terms(terms, zexp, count, nmax, max1, gen)
     return LaurentPoly._make(terms, r)
 
 

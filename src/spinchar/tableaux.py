@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .gtpatterns import GTPattern
-from .laurent import LaurentPoly, Monomial
+from .gtpatterns import GTPattern, add_weight_terms
+from .laurent import LaurentPoly
 from .rootdata import upsilon
 
 
@@ -76,29 +76,12 @@ class Tableau:
             if diag is not None:
                 assert code < diag, "diagonals strictly increase"
 
-    def count(self, code: int) -> int:
-        return sum(1 for _, _, c in self.cells() if c == code)
-
     def row_counts(self, code: int) -> list:
         return [sum(1 for c in row if c == code) for row in self.rows]
 
     def components(self, code: int) -> list:
         """Connected components (edge adjacency) of the cells holding code."""
-        cells = {(row, col) for row, col, c in self.cells() if c == code}
-        comps = []
-        while cells:
-            seed = cells.pop()
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                row, col = frontier.pop()
-                for nxt in ((row, col - 1), (row, col + 1), (row - 1, col), (row + 1, col)):
-                    if nxt in cells:
-                        cells.remove(nxt)
-                        comp.add(nxt)
-                        frontier.append(nxt)
-            comps.append(comp)
-        return comps
+        return _components({(row, col) for row, col, c in self.cells() if c == code})
 
     def pretty(self) -> str:
         lines = []
@@ -107,6 +90,25 @@ class Tableau:
             pad = " " * ((width + 1) * li)
             lines.append(pad + " ".join(symbol_name(c).rjust(width) for c in row))
         return "\n".join(lines)
+
+
+def _components(cells: set) -> list:
+    """Connected components (edge adjacency) of a set of (row, col) cells."""
+    cells = set(cells)
+    comps = []
+    while cells:
+        seed = cells.pop()
+        comp = {seed}
+        frontier = [seed]
+        while frontier:
+            row, col = frontier.pop()
+            for nxt in ((row, col - 1), (row, col + 1), (row - 1, col), (row + 1, col)):
+                if nxt in cells:
+                    cells.remove(nxt)
+                    comp.add(nxt)
+                    frontier.append(nxt)
+        comps.append(comp)
+    return comps
 
 
 @dataclass(frozen=True)
@@ -220,21 +222,24 @@ def statistics(s: Tableau, partial: bool = False) -> TableauStats:
     some symbol has several odd-count rows (tableau outside the circle).
     """
     r = s.rank
-    str_total = sum(len(s.components(code)) for code in range(1, 2 * r + 1))
-    x = tuple(s.count(unbarred(m)) for m in range(1, r + 1))
-    xbar = tuple(s.count(barred(m)) for m in range(1, r + 1))
+    # One pass over the cells: per-symbol cells and per-row counts.
+    cells = {code: set() for code in range(1, 2 * r + 1)}
+    rows = {code: [0] * len(s.rows) for code in cells}
+    for row, col, code in s.cells():
+        cells[code].add((row, col))
+        rows[code][row - 1] += 1
+    ncomp = {code: len(_components(cells[code])) for code in cells}
+    str_total = sum(ncomp.values())
+    x = tuple(len(cells[unbarred(m)]) for m in range(1, r + 1))
+    xbar = tuple(len(cells[barred(m)]) for m in range(1, r + 1))
     wt = tuple(x[m - 1] - xbar[m - 1] for m in range(r, 0, -1))
-    row_u = tuple(
-        sum(1 for c in s.row_counts(unbarred(m)) if c) for m in range(1, r + 1)
-    )
-    row_b = tuple(
-        sum(1 for c in s.row_counts(barred(m)) if c) for m in range(1, r + 1)
-    )
-    con_b = tuple(len(s.components(barred(m))) for m in range(1, r + 1))
+    row_u = tuple(sum(1 for c in rows[unbarred(m)] if c) for m in range(1, r + 1))
+    row_b = tuple(sum(1 for c in rows[barred(m)] if c) for m in range(1, r + 1))
+    con_b = tuple(ncomp[barred(m)] for m in range(1, r + 1))
     hgtbar = sum(row_b[m] - con_b[m] - row_u[m] for m in range(r))
     l_values = []
     for m in range(1, r + 1):
-        odd_rows = [li + 1 for li, c in enumerate(s.row_counts(unbarred(m))) if c % 2]
+        odd_rows = [li + 1 for li, c in enumerate(rows[unbarred(m)]) if c % 2]
         if len(odd_rows) > 1:
             if partial:
                 l_values = None
@@ -251,8 +256,6 @@ def statistics(s: Tableau, partial: bool = False) -> TableauStats:
 
 def tableau_term(s: Tableau) -> LaurentPoly:
     """(-1)^(r(r+1)/2 - l) t^(hgtbar + l) (1+t)^(str - r) z^(-wt/2)."""
-    from math import comb
-
     r = s.rank
     st = statistics(s)
     sign = -1 if (r * (r + 1) // 2 - st.l_total) % 2 else 1
@@ -261,9 +264,8 @@ def tableau_term(s: Tableau) -> LaurentPoly:
         raise ValueError("negative t exponent; tableau outside the circle subset?")
     zexp = tuple(-w for w in st.wt)  # doubled exponents of z^(-wt/2)
     terms = {}
-    for jj in range(st.str_total - r + 1):
-        terms[Monomial(zexp, base_t + jj, 0)] = sign * comb(st.str_total - r, jj)
-    return LaurentPoly(terms, r)
+    add_weight_terms(terms, zexp, sign, base_t, st.str_total - r)
+    return LaurentPoly._make(terms, r)
 
 
 def corollary_rhs(lam, r: int = None) -> LaurentPoly:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .gtpatterns import _g_from_stats, enumerate_circle, top_row
+from .gtpatterns import add_g_terms, circle_sum, top_row
 from .laurent import LaurentPoly
 from .padic import cqc_layer_sums
 from .rootdata import upsilon, upsilon_inverse
@@ -150,6 +150,15 @@ class CheckResult:
         return not self.mismatches
 
 
+def circle_buckets(mu) -> dict:
+    """{wt: sum of G(P) over the circle patterns P of top parameter mu with
+    wt(P) = wt}, each a polynomial in t alone; summed from circle_sum."""
+    parts: dict = {}
+    for (wt, nmax, max1, gen), count in circle_sum(mu).items():
+        add_g_terms(parts.setdefault(wt, {}), (), count, nmax, max1, gen)
+    return {wt: LaurentPoly._make(terms, 0) for wt, terms in parts.items()}
+
+
 def gh_check(lam, r: int = None) -> CheckResult:
     """Flat coefficients against the circle-subset sums at t = -1/q.
 
@@ -165,12 +174,7 @@ def gh_check(lam, r: int = None) -> CheckResult:
     a0 = top_row(upsilon(mu))
     result = CheckResult("gh", {"lambda": list(lam), "rank": r})
 
-    buckets: dict = {}
-    for p in enumerate_circle(upsilon(mu)):
-        st = p.stats()
-        key = p.wt()
-        poly = _g_from_stats(st, 0)
-        buckets[key] = buckets.get(key, _Q0) + poly
+    buckets = circle_buckets(upsilon(mu))
     minus_qinv = LaurentPoly.monomial(0, qexp=-1, coef=-1)
 
     def k_of_wt(wt):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 PY = [sys.executable, "-m", "spinchar"]
 
 
@@ -113,3 +115,24 @@ def test_enumerate_cq_csv():
     assert out.returncode == 0
     header = out.stdout.splitlines()[0]
     assert header.startswith("d1,d2,d3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "prop4", "--mu", "2,2", "--p", "4", "--dmax", "1"),
+        ("verify", "prop4", "--mu", "2,2", "--p", "1", "--dmax", "1"),
+        ("verify", "prop3", "--lambda", "1,-1"),
+        ("verify", "gh", "--lambda", "1,-1"),
+        ("coeff", "--lambda", "1,1", "--fix", "z1=1/3"),
+        ("enumerate", "gt"),
+        ("enumerate", "omega", "--mu", "2,2", "--k-scalar", "3"),
+    ],
+    ids=" ".join,
+)
+def test_malformed_calls_are_usage_errors(argv):
+    out = run(*argv)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert len(out.stderr.strip().splitlines()) == 1
+    assert out.stdout == ""

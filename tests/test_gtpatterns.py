@@ -1,10 +1,14 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from spinchar.gtpatterns import (
     GTPattern,
+    PatternStats,
     ShortGTPattern,
+    _g_from_stats,
+    circle_sum,
     enumerate_circle,
     enumerate_short,
     enumerate_strict,
@@ -27,6 +31,8 @@ from spinchar.rootdata import (
     upsilon,
     weyl_numerator,
 )
+from spinchar.whittaker import circle_buckets
+from tests.test_acceptance import THEOREM1_CASES
 
 # the running example: rank 5, top parameter (2,2,4,2,1)
 EXAMPLE = GTPattern(
@@ -119,6 +125,49 @@ def test_max1_even_on_circle():
     for mu in [(2, 2), (3, 2), (4, 3), (2, 2, 1)]:
         for p in enumerate_circle(upsilon(mu)):
             assert p.stats().max1 % 2 == 0
+
+
+@pytest.mark.parametrize("lam", [lam for lam, _ in THEOREM1_CASES], ids=str)
+def test_circle_sum_matches_enumeration(lam):
+    # the slice transfer against the enumeration oracle, on all three sums
+    # built from it: the statistics tally, the pattern side and the buckets
+    top = upsilon(tuple(l + 1 for l in lam))
+    tally = Counter()
+    terms = {}
+    buckets = {}
+    for p in enumerate_circle(top):
+        st, wt = p.stats(), p.wt()
+        tally[(wt, st.max, st.max1, st.gen)] += 1
+        for mono, c in g_weight(p).terms.items():
+            key = Monomial(tuple(-w for w in wt), mono.t, 0)
+            terms[key] = terms.get(key, 0) + c
+        buckets[wt] = buckets.get(wt, LaurentPoly.zero(0)) + _g_from_stats(st, 0)
+    assert circle_sum(top) == dict(tally)
+    assert tokuyama_rhs(lam) == LaurentPoly(terms, len(lam))
+    assert circle_buckets(top) == buckets
+
+
+@pytest.mark.parametrize("verdict", [False, True])
+def test_transfer_keeps_characterization_cross_check(monkeypatch, verdict):
+    # a row-parity test that disagrees with the c-statistic test somewhere
+    # must stop both routes, as on the enumeration route before
+    monkeypatch.setattr(
+        ShortGTPattern, "in_circle_by_row_parity", lambda self, ref=None: verdict
+    )
+    with pytest.raises(RuntimeError):
+        tokuyama_rhs((1, 0))
+    with pytest.raises(RuntimeError):
+        list(enumerate_circle(upsilon((2, 1))))
+
+
+def test_transfer_keeps_odd_max1_guard(monkeypatch):
+    real = ShortGTPattern.stats
+    monkeypatch.setattr(
+        ShortGTPattern, "stats",
+        lambda self: PatternStats(*real(self)[:3], real(self).max1 + 1),
+    )
+    with pytest.raises(AssertionError, match="odd max1"):
+        tokuyama_rhs((2,))
 
 
 def test_diagonal_condition_enforced():
