@@ -5,8 +5,7 @@ Prints one line per job with its verdict and wall-clock runtime, then a
 summary.  A job that exits 1 with a JSON report is a verification failure;
 a usage or budget error (exit 2), a traceback, or output that is not a
 report is an error.  Exits 0 when every job passes, 1 when some claim
-fails and nothing errs, 2 when any job errs.  Respects TOKUYAMA_THREADS
-for the oracle sweep.
+fails and nothing errs, 2 when any job errs.
 """
 
 import itertools

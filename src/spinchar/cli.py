@@ -4,8 +4,7 @@ Exit codes: 0 = pass, 1 = verification failure, 2 = usage or budget error
 (a malformed call, or a ValueError raised by the library on its input, is
 reported in one line on stderr).
 Reports are emitted as JSON on stdout (deterministic; runtime_ms is null
-unless --timing is given).  TOKUYAMA_THREADS caps the worker pool used for
-independent oracle instances in the prop4 sweep.
+unless --timing is given).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -53,11 +51,11 @@ def _prime(args) -> int:
     return p
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TOKUYAMA_THREADS", "1")))
-    except ValueError:
-        return 1
+def _nonnegative(value, flag: str):
+    """An optional sweep bound; a negative one would check nothing."""
+    if value is not None and value < 0:
+        raise UsageError(f"{flag} must be >= 0, got {value}")
+    return value
 
 
 # -- verify ------------------------------------------------------------------
@@ -110,61 +108,43 @@ def _verify_gh(args) -> Report:
     return rep
 
 
-def _prop4_instance(job):
-    """One oracle comparison; top level so a process pool can pickle it."""
-    mu, d, p, tol, budget = job
-    t = padic.ShortPatternB(mu, d)
-    cf = padic.closed_form_G(t)
-    try:
-        bf = padic.brute_force_G(t, p, budget=budget)
-    except padic.BudgetExceededError:
-        return ("skip", mu, d, p, None)
-    if cf is None:
-        # Uncovered middle cell: report the tested hypothesis G = 0.
-        return ("hypothesis", mu, d, p, abs(bf)) if abs(bf) > tol else (
-            "hypothesis_ok", mu, d, p, abs(bf))
-    err = abs(bf - complex(cf.evaluate({"q": Fraction(p)})))
-    return ("agree", mu, d, p, err) if err <= tol else ("fail", mu, d, p, err)
-
-
 def _verify_prop4(args) -> Report:
     mu = _parse_ints(args.mu)
     r = args.rank if args.rank is not None else len(mu)
     if len(mu) != r or r < 2 or any(m < 1 for m in mu):
         raise UsageError("prop4 needs rank >= 2 and positive --mu")
     p = _prime(args)
-    tol = args.tol
-    dmax = args.dmax
-    jobs = []
+    dmax = _nonnegative(args.dmax, "--dmax")
+    rep = Report("prop4", {"rank": r, "mu": list(mu), "p": p, "dmax": dmax})
+    counts = {"agree": 0, "fail": 0, "skip": 0, "hypothesis_ok": 0, "hypothesis": 0}
+    instances = 0
     for d in itertools.product(range(dmax + 1), repeat=2 * r - 1):
         t = padic.ShortPatternB(mu, d)
-        if padic.preconditions_hold(t):
-            jobs.append((mu, d, p, tol, args.budget))
-    nthreads = _threads()
-    if nthreads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(_prop4_instance, jobs))
-    else:
-        results = [_prop4_instance(job) for job in jobs]
-    rep = Report(
-        "prop4",
-        {"rank": r, "mu": list(mu), "p": p, "dmax": dmax, "tol": tol},
-    )
-    counts = {"agree": 0, "fail": 0, "skip": 0, "hypothesis_ok": 0, "hypothesis": 0}
-    worst = 0.0
-    for kind, mu_, d, p_, err in results:
+        if not padic.preconditions_hold(t):
+            continue
+        instances += 1
+        try:
+            bf = padic.brute_force_G(t, p, budget=args.budget)
+        except padic.BudgetExceededError:
+            counts["skip"] += 1
+            continue
+        cf = padic.closed_form_G(t)
+        if cf is None:
+            # Uncovered middle cell: the tested hypothesis is G = 0.
+            kind = "hypothesis_ok" if bf == 0 else "hypothesis"
+        else:
+            want = cf.evaluate({"q": p})
+            kind = "agree" if bf == want else "fail"
         counts[kind] += 1
-        if kind in ("agree", "fail"):
-            worst = max(worst, err)
         if kind == "fail":
-            rep.mismatches.append({"d": list(d), "p": p_, "abs_err": err})
-        if kind == "hypothesis":
             rep.mismatches.append(
-                {"d": list(d), "p": p_, "abs_err": err, "error": "zero hypothesis"}
+                {"d": list(d), "p": p, "oracle": str(bf), "closed_form": str(want)}
             )
-    rep.counts = counts | {"instances": len(jobs), "worst_err": worst}
+        elif kind == "hypothesis":
+            rep.mismatches.append(
+                {"d": list(d), "p": p, "oracle": str(bf), "error": "zero hypothesis"}
+            )
+    rep.counts = counts | {"instances": instances}
     return rep
 
 
@@ -172,7 +152,9 @@ def _verify_prop5(args) -> Report:
     mu = _parse_ints(args.mu)
     if len(mu) < 2 or any(m < 1 for m in mu):
         raise UsageError("prop5 needs rank >= 2 and positive --mu")
-    kmax = args.kmax if args.kmax is not None else mu[-1] + 2 * sum(mu[:-1]) + 2
+    kmax = _nonnegative(args.kmax, "--kmax")
+    if kmax is None:
+        kmax = mu[-1] + 2 * sum(mu[:-1]) + 2
     rep = Report("prop5", {"mu": list(mu), "kmax": kmax, "q": args.q})
     values = []
     for kr in range(kmax + 1):
@@ -195,24 +177,25 @@ def _verify_prop6(args) -> Report:
     if len(mu) < 2 or any(m < 1 for m in mu):
         raise UsageError("prop6 needs rank >= 2 and positive --mu")
     p = _prime(args)
-    rep = Report(
-        "prop6", {"mu": list(mu), "p": p, "tol": args.tol, "kmax": args.kmax}
-    )
+    kmax = _nonnegative(args.kmax, "--kmax")
+    rep = Report("prop6", {"mu": list(mu), "p": p, "kmax": kmax})
     if args.k:
-        kvecs = [_parse_ints(args.k)]
-        rep.params["k"] = list(kvecs[0])
+        k = _parse_ints(args.k)
+        if len(k) != len(mu) or min(k) < 0:
+            raise UsageError(f"--k needs {len(mu)} nonnegative entries, as --mu has")
+        kvecs = [k]
+        rep.params["k"] = list(k)
     else:
-        kmax = args.kmax if args.kmax is not None else 4
-        kvecs = list(itertools.product(range(kmax + 1), repeat=len(mu)))
+        top = 4 if kmax is None else kmax
+        kvecs = list(itertools.product(range(top + 1), repeat=len(mu)))
     used = skipped = 0
     for k in kvecs:
-        res = padic.prop6_check(mu, k, p, tol=args.tol, budget=args.budget)
+        res = padic.prop6_check(mu, k, p, budget=args.budget)
         used += res.used_oracle
         skipped += res.skipped_divisibility
         if not res.verdict:
             rep.mismatches.append(
-                {"k": list(k), "lhs": repr(res.lhs), "rhs": str(res.rhs),
-                 "abs_err": res.abs_err}
+                {"k": list(k), "lhs": str(res.lhs), "rhs": str(res.rhs)}
             )
     rep.counts = {"checked": len(kvecs), "oracle_terms": used,
                   "divisibility_skipped": skipped}
@@ -302,6 +285,8 @@ def _enumerate(args) -> int:
         return 0
     if kind == "omega":
         mu = _parse_ints(args.mu)
+        if args.index is not None and not 1 <= args.index <= len(mu):
+            raise UsageError(f"--index must lie in 1..{len(mu)}, got {args.index}")
         for t in padic.omega_sets(
             mu, args.kind_rel, weighting=args.weighting, k=args.k_scalar, i=args.index
         ):
@@ -410,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", default=None)
     v.add_argument("--p", type=int, default=None)
     v.add_argument("--q", type=int, default=None)
-    v.add_argument("--tol", type=float, default=1e-6)
     v.add_argument("--dmax", type=int, default=3)
     v.add_argument("--kmax", type=int, default=None)
     v.add_argument("--budget", type=int, default=padic.DEFAULT_BUDGET)

@@ -4,8 +4,9 @@ A short pattern is a (2r-1)-tuple of p-adic orders d = (d_1, ..., d_{2r-1})
 attached to an r-tuple mu of positive integers (mu_i = m_i + 1).  The module
 provides
 
-* a brute-force oracle for the normalized character sum G(t), evaluated in
-  double precision from exact root-of-unity data;
+* a brute-force oracle for the normalized character sum G(t), evaluated
+  exactly: the integer phases of its terms are counted and the count vector
+  is reduced by the cyclotomic relation to a rational number;
 * the decorated accumulation arrays of flavors B and C with their gamma and
   gamma-tilde weights, and the closed-form evaluation of G(t);
 * the totally resonant Omega machinery and the summation identities tying
@@ -179,13 +180,18 @@ def decorate_B(t: ShortPatternB) -> DecoratedArray:
     return DecoratedArray(tuple(entries), tuple(boxed), tuple(circled), "B")
 
 
-def g_delta(arr: DecoratedArray) -> LaurentPoly:
+def _gamma_product(flags) -> LaurentPoly:
+    """Product of gamma(boxed, circled) over (boxed, circled) pairs."""
     out = _ONE
-    for b, c in zip(arr.boxed, arr.circled):
+    for b, c in flags:
         out = out * gamma(b, c)
         if not out:
             return _Q0
     return out
+
+
+def g_delta(arr: DecoratedArray) -> LaurentPoly:
+    return _gamma_product(zip(arr.boxed, arr.circled))
 
 
 def resonant_lift(dtuple) -> tuple:
@@ -212,12 +218,10 @@ def closed_form_G(t: ShortPatternB) -> LaurentPoly | None:
             return g_delta(decorate_B(t))
         if diff % 2:
             arr = decorate_B(t)
+            flags = list(zip(arr.boxed, arr.circled))
+            del flags[r - 1 : r + 1]  # the middle pair enters the square sum
             out = _ONE_MINUS_QINV * LaurentPoly.monomial(0, qexp=-((diff + 1) // 2))
-            for i, (b, c) in enumerate(zip(arr.boxed, arr.circled), start=1):
-                if i in (r, r + 1):
-                    continue
-                out = out * gamma(b, c)
-            return out
+            return out * _gamma_product(flags)
         return _Q0
     if middle_bound_holds(t) and d[r] <= mu[r]:
         return g_delta(decorate_B(t))
@@ -257,15 +261,15 @@ def brute_force_G(
     p: int,
     budget: int = DEFAULT_BUDGET,
     u_shift: int = 0,
-) -> complex:
+) -> Fraction:
     """Literal evaluation of the normalized character sum at the prime p.
 
     The sum over c_j mod p^{L_j} is collapsed, exactly, to the summand's
     period p^{f_j}: f_j >= d_j keeps the canonical inverse u_j fixed and
     f_j dominates every denominator exponent in which c_j appears.  The
     weight prod p^{L_j - f_j} then cancels against the normalization,
-    leaving p^(-sum f_j) times the reduced sum.  Accumulation is complex
-    double with Kahan compensation across outer blocks.
+    leaving p^(-sum f_j) times the reduced sum, a sum of p^cap-th roots of
+    unity that _cyclotomic_sum evaluates exactly from the integer phases.
 
     u_shift replaces each u_j by u_j + u_shift * p^{d_j} (representative
     independence testing).
@@ -358,18 +362,33 @@ def brute_force_G(
             phase += np.ascontiguousarray(flat).reshape(shape)
         phase %= big
 
-    flat = phase.ravel()
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    step = 1 << 20
-    factor = 2j * np.pi / big
-    for start in range(0, flat.size, step):
-        block = complex(np.exp(factor * flat[start : start + step]).sum())
-        y = block - comp
-        new_total = total + y
-        comp = (new_total - total) - y
-        total = new_total
-    return total * float(p) ** (-sum(f[1:]))
+    return Fraction(_cyclotomic_sum(phase.ravel(), p, cap), p ** sum(f[1:]))
+
+
+def _cyclotomic_sum(phase, p: int, cap: int) -> int:
+    """Exact sum of zeta^x over the phases x in [0, p^cap), zeta a primitive
+    p^cap-th root of unity; raises RuntimeError unless it is an integer.
+
+    With M = p^(cap-1), Phi_{p^cap}(x) = 1 + x^M + ... + x^((p-1)M), so the
+    sum is the integer N exactly when the counts at y, y + M, ...,
+    y + (p-1)M agree for every y != 0 mod M and the counts at M, ...,
+    (p-1)M share one value c; then N = count(0) - c.  Memory is O(distinct
+    phases), never O(p^cap).
+    """
+    vals, cnts = np.unique(phase, return_counts=True)
+    if cap == 0:  # every phase is 0 mod 1
+        return int(cnts.sum())
+    M = p ** (cap - 1)
+    classes, row = np.unique(vals % M, return_inverse=True)
+    table = np.zeros((len(classes), p), dtype=np.int64)
+    table[row, vals // M] = cnts
+    n = 0
+    if classes[0] == 0:
+        n = int(table[0, 0] - table[0, 1])
+        table[0, 0] = table[0, 1]
+    if (table != table[:, :1]).any():
+        raise RuntimeError(f"phase counts mod {p}^{cap} do not sum to an integer")
+    return n
 
 
 # -- flavor C ----------------------------------------------------------------
@@ -597,16 +616,17 @@ def omega_of(s, mu):
     yield from itertools.product(*ranges)
 
 
+def _resonant_flags(dtuple, mu) -> list:
+    """(boxed, circled) pairs of the symmetric lift of an r-tuple."""
+    r = len(mu)
+    return [(dtuple[i] == mu[i], dtuple[i] == 0) for i in range(r)] + [
+        (dtuple[i] == mu[i], dtuple[i - 1] == 0) for i in range(1, r)
+    ]
+
+
 def g_delta_resonant(dtuple, mu) -> LaurentPoly:
     """Flavor-B product of the symmetric lift of an r-tuple (any r >= 1)."""
-    dtuple, mu = tuple(dtuple), tuple(mu)
-    r = len(mu)
-    out = _ONE
-    for i in range(1, r + 1):
-        out = out * gamma(dtuple[i - 1] == mu[i - 1], dtuple[i - 1] == 0)
-    for i in range(1, r):
-        out = out * gamma(dtuple[i] == mu[i], dtuple[i - 1] == 0)
-    return out
+    return _gamma_product(_resonant_flags(tuple(dtuple), tuple(mu)))
 
 
 def lemma3_direct(s, mu) -> LaurentPoly:
@@ -625,15 +645,10 @@ def lemma3_closed(s, mu) -> LaurentPoly:
     if s == mu:
         return _Q0
     ib = i_box(s, mu)
-    head_s, head_mu = s[:ib], mu[:ib]
-    out = LaurentPoly.monomial(0, qexp=sum(s) - (r - ib))
-    for i in range(1, ib + 1):
-        if i == ib and s[ib - 1] > 0:
-            continue  # the unboxed uncircled factor 1 - q^{-1} is divided out
-        out = out * gamma(head_s[i - 1] == head_mu[i - 1], head_s[i - 1] == 0)
-    for i in range(1, ib):
-        out = out * gamma(head_s[i] == head_mu[i], head_s[i - 1] == 0)
-    return out
+    flags = _resonant_flags(s[:ib], mu[:ib])
+    if s[ib - 1] > 0:
+        del flags[ib - 1]  # the unboxed uncircled factor 1 - q^{-1} is divided out
+    return LaurentPoly.monomial(0, qexp=sum(s) - (r - ib)) * _gamma_product(flags)
 
 
 def resonant_closed_G(dtuple, mu) -> LaurentPoly:
@@ -766,24 +781,23 @@ def iter_cq1_with_k(mu, kvec):
 
 @dataclass(frozen=True)
 class Prop6Result:
-    lhs: complex
+    lhs: Fraction
     rhs: Fraction
-    abs_err: float
     used_oracle: int
     skipped_divisibility: int
     verdict: bool
 
 
-def prop6_check(mu, kvec, p: int, tol: float = 1e-6, budget: int = DEFAULT_BUDGET):
-    """Numeric comparison of the flavor-B and flavor-C weighted sums.
+def prop6_check(mu, kvec, p: int, tol=0, budget: int = DEFAULT_BUDGET):
+    """Exact comparison of the flavor-B and flavor-C weighted sums at q = p;
+    the verdict is |lhs - rhs| <= tol.
 
     Tuples violating the divisibility preconditions never occur in the
     coefficient expansion (the inductive sum ranges over them only), so
     they contribute zero; their count is reported.
     """
     mu, kvec = tuple(mu), tuple(kvec)
-    r = len(mu)
-    lhs = 0.0 + 0.0j
+    lhs = Fraction(0)
     used_oracle = 0
     skipped = 0
     for t in iter_cq1_with_k(mu, kvec):
@@ -795,14 +809,9 @@ def prop6_check(mu, kvec, p: int, tol: float = 1e-6, budget: int = DEFAULT_BUDGE
             lhs += brute_force_G(t, p, budget=budget)
             used_oracle += 1
         else:
-            lhs += complex(val.evaluate({"q": Fraction(p)}))
+            lhs += val.evaluate({"q": p})
     rhs = Fraction(0)
-    target = upsilon(kvec)
-    poly = cqc_layer_sums(upsilon(mu)).get(target)
+    poly = cqc_layer_sums(upsilon(mu)).get(upsilon(kvec))
     if poly is not None:
-        rhs = poly.evaluate({"q": Fraction(p)})
-    err = abs(lhs - complex(rhs))
-    return Prop6Result(
-        lhs, rhs, err, used_oracle, skipped,
-        err <= tol * max(1.0, abs(complex(rhs))),
-    )
+        rhs = poly.evaluate({"q": p})
+    return Prop6Result(lhs, rhs, used_oracle, skipped, abs(lhs - rhs) <= tol)

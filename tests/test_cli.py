@@ -42,7 +42,7 @@ def test_verify_budget_error():
 def test_verify_prop4_small():
     out = run(
         "verify", "prop4", "--rank", "2", "--mu", "2,2", "--p", "3",
-        "--dmax", "2", "--tol", "1e-6",
+        "--dmax", "2",
     )
     assert out.returncode == 0
     report = json.loads(out.stdout)
@@ -127,6 +127,13 @@ def test_enumerate_cq_csv():
         ("coeff", "--lambda", "1,1", "--fix", "z1=1/3"),
         ("enumerate", "gt"),
         ("enumerate", "omega", "--mu", "2,2", "--k-scalar", "3"),
+        ("verify", "prop6", "--mu", "2,2", "--k", "1,2,3"),
+        ("verify", "prop6", "--mu", "2,2", "--k", "1"),
+        ("verify", "prop6", "--mu", "1,1", "--kmax", "-1"),
+        ("enumerate", "omega", "--mu", "2,2", "--index", "5"),
+        ("enumerate", "omega", "--mu", "2,2", "--index", "0"),
+        ("verify", "prop4", "--mu", "2,2", "--dmax", "-1"),
+        ("verify", "prop5", "--mu", "2,2", "--kmax", "-1"),
     ],
     ids=" ".join,
 )

@@ -1,12 +1,15 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spinchar.laurent import LaurentPoly
 from spinchar.padic import (
     BudgetExceededError,
     ShortPatternB,
+    _cyclotomic_sum,
     brute_force_G,
     closed_form_G,
     component_decomposition,
@@ -134,6 +137,38 @@ def test_oracle_agreement_small():
                 worst = max(worst, err)
                 checked += 1
     assert checked > 50 and worst < 1e-9
+
+
+def test_oracle_is_exact():
+    for mu in itertools.product((1, 2), repeat=2):
+        for d in itertools.product(range(3), repeat=3):
+            t = ShortPatternB(mu, d)
+            if not preconditions_hold(t):
+                continue
+            cf = closed_form_G(t)
+            for p in (2, 3):
+                bf = brute_force_G(t, p, budget=200_000)
+                assert isinstance(bf, Fraction)
+                assert bf == (0 if cf is None else cf.evaluate({"q": p})), (mu, d, p)
+                for w in (1, 2):
+                    assert brute_force_G(t, p, budget=200_000, u_shift=w) == bf
+
+
+def test_cyclotomic_sum_rejects_irrational_counts():
+    for phases in ([1], [0, 1], [0, 3]):
+        with pytest.raises(RuntimeError):
+            _cyclotomic_sum(np.array(phases, dtype=np.int64), 3, 2)
+    # 2 + zeta^3 + zeta^6 = 1, and the full class 1 + 3Z/9Z adds 0
+    assert _cyclotomic_sum(np.array([0, 0, 3, 6, 1, 4, 7]), 3, 2) == 1
+    assert _cyclotomic_sum(np.zeros(3, dtype=np.int64), 5, 0) == 3
+    # memory follows the distinct phases, not the 3^20 residues mod 3^20
+    tracemalloc.start()
+    try:
+        got = _cyclotomic_sum(np.array([0, 3**19, 2 * 3**19]), 3, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 0 and peak < 1 << 20
 
 
 def test_representative_independence():
