@@ -28,6 +28,8 @@ JOBS += [
     ("gh", ["--lambda", "1,1,1"]),
     ("prop3", ["--lambda", "3,2"]),
     ("prop3", ["--lambda", "1,1,1"]),
+    ("gh", ["--lambda", "2,1,1"]),
+    ("prop3", ["--lambda", "2,1,1"]),
     ("prop4", ["--rank", "2", "--mu", "2,2", "--p", "3", "--dmax", "3"]),
     ("prop4", ["--rank", "3", "--mu", "2,1,2", "--p", "3", "--dmax", "2",
                "--budget", "300000"]),

@@ -51,10 +51,10 @@ def _prime(args) -> int:
     return p
 
 
-def _nonnegative(value, flag: str):
-    """An optional sweep bound; a negative one would check nothing."""
-    if value is not None and value < 0:
-        raise UsageError(f"{flag} must be >= 0, got {value}")
+def _at_least(value, flag: str, least: int = 0):
+    """An optional sweep bound or budget; below ``least`` it would check nothing."""
+    if value is not None and value < least:
+        raise UsageError(f"{flag} must be >= {least}, got {value}")
     return value
 
 
@@ -114,7 +114,8 @@ def _verify_prop4(args) -> Report:
     if len(mu) != r or r < 2 or any(m < 1 for m in mu):
         raise UsageError("prop4 needs rank >= 2 and positive --mu")
     p = _prime(args)
-    dmax = _nonnegative(args.dmax, "--dmax")
+    dmax = _at_least(args.dmax, "--dmax")
+    budget = _at_least(args.budget, "--budget", 1)
     rep = Report("prop4", {"rank": r, "mu": list(mu), "p": p, "dmax": dmax})
     counts = {"agree": 0, "fail": 0, "skip": 0, "hypothesis_ok": 0, "hypothesis": 0}
     instances = 0
@@ -124,7 +125,7 @@ def _verify_prop4(args) -> Report:
             continue
         instances += 1
         try:
-            bf = padic.brute_force_G(t, p, budget=args.budget)
+            bf = padic.brute_force_G(t, p, budget=budget)
         except padic.BudgetExceededError:
             counts["skip"] += 1
             continue
@@ -152,7 +153,7 @@ def _verify_prop5(args) -> Report:
     mu = _parse_ints(args.mu)
     if len(mu) < 2 or any(m < 1 for m in mu):
         raise UsageError("prop5 needs rank >= 2 and positive --mu")
-    kmax = _nonnegative(args.kmax, "--kmax")
+    kmax = _at_least(args.kmax, "--kmax")
     if kmax is None:
         kmax = mu[-1] + 2 * sum(mu[:-1]) + 2
     rep = Report("prop5", {"mu": list(mu), "kmax": kmax, "q": args.q})
@@ -177,7 +178,8 @@ def _verify_prop6(args) -> Report:
     if len(mu) < 2 or any(m < 1 for m in mu):
         raise UsageError("prop6 needs rank >= 2 and positive --mu")
     p = _prime(args)
-    kmax = _nonnegative(args.kmax, "--kmax")
+    kmax = _at_least(args.kmax, "--kmax")
+    budget = _at_least(args.budget, "--budget", 1)
     rep = Report("prop6", {"mu": list(mu), "p": p, "kmax": kmax})
     if args.k:
         k = _parse_ints(args.k)
@@ -190,7 +192,7 @@ def _verify_prop6(args) -> Report:
         kvecs = list(itertools.product(range(top + 1), repeat=len(mu)))
     used = skipped = 0
     for k in kvecs:
-        res = padic.prop6_check(mu, k, p, budget=args.budget)
+        res = padic.prop6_check(mu, k, p, budget=budget)
         used += res.used_oracle
         skipped += res.skipped_divisibility
         if not res.verdict:
@@ -380,8 +382,16 @@ def _usage_exit(prefix: str, exc: Exception) -> int:
     return USAGE_ERROR
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """Reports a malformed call in one stderr line, without the usage block;
+    its subparsers share the class."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _OneLineParser(
         prog="spinchar",
         description="verify, enumerate and print deformed-character data",
     )

@@ -90,9 +90,6 @@ class HalfInt:
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
     def __str__(self):
         if self.twice % 2 == 0:
             return str(self.twice // 2)

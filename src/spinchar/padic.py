@@ -150,11 +150,6 @@ def middle_bound_holds(t: ShortPatternB) -> bool:
     return d[r] <= t.mu[r - 1] + 2 * (d[r - 1] - d[r + 1] if r >= 2 else 0)
 
 
-def in_cq1_le(t: ShortPatternB) -> bool:
-    r = t.r
-    return in_cq1(t) and middle_bound_holds(t) and t.d[r - 1] <= t.mu[r - 1]
-
-
 def decorate_B(t: ShortPatternB) -> DecoratedArray:
     """Accumulated sums c_i = d_i + ... + d_{2r-1} with the flavor-B flags."""
     r, mu = t.r, (0,) + t.mu

@@ -31,11 +31,6 @@ class WeightVector:
     def coords(self) -> tuple:
         return tuple(HalfInt(c) for c in self.coords_twice)
 
-    def is_spin_weight(self) -> bool:
-        """All coordinates congruent mod 1: integer or all-half-integer."""
-        parities = {c % 2 for c in self.coords_twice}
-        return len(parities) <= 1
-
     def __add__(self, other: "WeightVector") -> "WeightVector":
         return WeightVector(
             tuple(a + b for a, b in zip(self.coords_twice, other.coords_twice))

@@ -1,28 +1,34 @@
 """Prime-power coefficients H(p^k; p^lambda) and their consistency checks.
 
 The rank-one value is the classical Ramanujan-sum evaluation; higher ranks
-are computed by the layer recursion: flavor-C decorated sums over the top
-layer (bucketed by weighting vector) times rank r-1 coefficients at a
-shifted dominant weight.  All values are exact Laurent polynomials in q;
-the flat normalization divides by q^(k_1 + ... + k_r).
+come from one forward pass of the layer recursion per weight: flavor-C
+decorated sums over the top layer (bucketed by weighting vector) times the
+rank r-1 table at a shifted dominant weight.  h_table(lambda) holds every
+k the pass reaches; h_coeff and h_support read it.  All values are exact
+Laurent polynomials in q; the flat normalization divides by
+q^(k_1 + ... + k_r).
 
 The recursion filters the layer vectors k' to have even entries before the
 last coordinate; the filter is redundant on the support (tested) since the
-decorated sums vanish otherwise.  Terms whose shifted weight would leave
-the dominant cone contribute nothing; any such term met with a nonzero
-layer factor is recorded in NEGATIVE_NU_EVENTS (none are expected).
+decorated sums vanish otherwise.  Layers whose shifted weight would leave
+the dominant cone contribute nothing; any such nonzero layer is recorded in
+NEGATIVE_NU_EVENTS (none are expected).
+
+The checks gh and prop3 tie H to the circle-pattern sums and to the
+expanded D(z; -1/q) chi_lambda; both index by k through the one map
+_k_of_z / _z_of_k between k and the doubled z-exponent (= minus the
+pattern weight).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .gtpatterns import add_g_terms, circle_sum, top_row
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Monomial
 from .padic import cqc_layer_sums
-from .rootdata import upsilon, upsilon_inverse
+from .rootdata import upsilon
 
 _Q0 = LaurentPoly.zero(0)
 
@@ -72,37 +78,45 @@ def _mu_second(lam: tuple, kp: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def h_table(lam: tuple) -> dict:
+    """{k: H(p^k; p^lam)} over every k that the layer recursion reaches.
+
+    Each nonzero layer k' with an even prefix and a dominant shifted weight
+    nu adds q^e G(k') H(p^k''; p^nu) at k = (k'_1/2, k'_i/2 + k''_{i-1},
+    k'_r + k''_{r-1}) for every entry k'' of the table of nu.  A k reached
+    only by terms that cancel keeps its (zero) entry, so the keys are a
+    superset of the support.  The returned dict is shared: do not mutate.
+    """
+    r = len(lam)
+    if r == 1:
+        return {(k,): h_base(k, lam[0]) for k in range(lam[0] + 2)}
+    table = {}
+    for kp, gsum in cqc_layer_sums(upsilon(tuple(l + 1 for l in lam))).items():
+        if any(kp[i] % 2 for i in range(r - 1)):
+            continue  # redundant on the support; kept as the outer-sum filter
+        nu = _nu_shift(lam, kp)
+        if any(x < 0 for x in nu):
+            NEGATIVE_NU_EVENTS.append((lam, kp))
+            continue
+        assert upsilon(tuple(n + 1 for n in nu)) == _mu_second(lam, kp)
+        layer = gsum * LaurentPoly.monomial(0, qexp=kp[r - 1] + sum(kp[: r - 1]) // 2)
+        for ksub, hsub in h_table(nu).items():
+            k = (
+                (kp[0] // 2,)
+                + tuple(kp[i] // 2 + ksub[i - 1] for i in range(1, r - 1))
+                + (kp[r - 1] + ksub[r - 2],)
+            )
+            table[k] = table.get(k, _Q0) + layer * hsub
+    return table
+
+
 def h_coeff(k: tuple, lam: tuple) -> LaurentPoly:
     """H at prime powers, as an exact polynomial in q (rank-0 Laurent poly)."""
-    r = len(k)
-    if len(lam) != r:
+    if len(lam) != len(k):
         raise ValueError("k and lambda must have equal length")
     if any(x < 0 for x in k) or any(x < 0 for x in lam):
         raise ValueError("indices must be nonnegative")
-    if r == 1:
-        return h_base(k[0], lam[0])
-    mu = tuple(l + 1 for l in lam)
-    layers = cqc_layer_sums(upsilon(mu))
-    vk = upsilon(k)
-    total = _Q0
-    for kp, gsum in layers.items():
-        if kp[0] != vk[0]:
-            continue
-        if any(kp[i] % 2 for i in range(r - 1)):
-            continue  # redundant on the support; kept as the outer-sum filter
-        kpp = tuple(vk[i] - kp[i] for i in range(1, r))
-        if any(x < 0 for x in kpp):
-            continue
-        assert all(x % 2 == 0 for x in kpp[: r - 2])
-        nu = _nu_shift(lam, kp)
-        if any(x < 0 for x in nu):
-            NEGATIVE_NU_EVENTS.append((k, lam, kp))
-            continue
-        assert upsilon(tuple(n + 1 for n in nu)) == _mu_second(lam, kp)
-        exp = kp[r - 1] + sum(kp[: r - 1]) // 2
-        prefactor = LaurentPoly.monomial(0, qexp=exp)
-        total = total + prefactor * gsum * h_coeff(upsilon_inverse(kpp), nu)
-    return total
+    return h_table(tuple(lam)).get(tuple(k), _Q0)
 
 
 def h_flat(k: tuple, lam: tuple) -> LaurentPoly:
@@ -110,32 +124,28 @@ def h_flat(k: tuple, lam: tuple) -> LaurentPoly:
     return h_coeff(tuple(k), tuple(lam)) * LaurentPoly.monomial(0, qexp=-sum(k))
 
 
-@lru_cache(maxsize=None)
 def h_support(lam: tuple) -> frozenset:
-    """Superset of the k-support of H(p^k; p^lam), by forward closure.
+    """Superset of the k-support of H(p^k; p^lam): the keys of its table."""
+    return frozenset(h_table(tuple(lam)))
 
-    Follows the nonzero layer buckets through the recursion; cancellation
-    can only shrink the true support below this set.
-    """
-    r = len(lam)
-    if r == 1:
-        return frozenset((k,) for k in range(lam[0] + 2))
-    mu = tuple(l + 1 for l in lam)
-    out = set()
-    for kp in cqc_layer_sums(upsilon(mu)):
-        if any(kp[i] % 2 for i in range(r - 1)):
-            continue
-        nu = _nu_shift(lam, kp)
-        if any(x < 0 for x in nu):
-            continue
-        for ksub in h_support(nu):
-            k = (
-                (kp[0] // 2,)
-                + tuple(kp[i] // 2 + ksub[i - 1] for i in range(1, r - 1))
-                + (kp[r - 1] + ksub[r - 2],)
-            )
-            out.add(k)
-    return frozenset(out)
+
+def _k_of_z(a0: tuple, z: tuple):
+    """The k whose doubled z-exponents are z_i = 2 (k_i - k_{i-1}) - a_{0,i}
+    (the pattern weight is -z), or None when there is no nonnegative one."""
+    k = []
+    acc = 0
+    for zi, ai in zip(z, a0):
+        step = zi + ai
+        if step % 2:
+            return None
+        acc += step // 2
+        k.append(acc)
+    return tuple(k) if all(x >= 0 for x in k) else None
+
+
+def _z_of_k(a0: tuple, k: tuple) -> tuple:
+    """Doubled z-exponents of the monomial carrying H(p^k); inverse of _k_of_z."""
+    return tuple(2 * (k[i] - (k[i - 1] if i else 0)) - a0[i] for i in range(len(k)))
 
 
 @dataclass
@@ -177,27 +187,13 @@ def gh_check(lam, r: int = None) -> CheckResult:
     buckets = circle_buckets(upsilon(mu))
     minus_qinv = LaurentPoly.monomial(0, qexp=-1, coef=-1)
 
-    def k_of_wt(wt):
-        k = []
-        acc = 0
-        for i in range(r):
-            step = a0[i] - wt[i]
-            if step % 2:
-                return None
-            acc += step // 2
-            k.append(acc)
-        return tuple(k) if all(x >= 0 for x in k) else None
-
     def gt_side(k):
-        target = tuple(
-            a0[i] + 2 * (k[i - 1] if i else 0) - 2 * k[i] for i in range(r)
-        )
-        poly = buckets.get(target)
+        poly = buckets.get(tuple(-x for x in _z_of_k(a0, k)))
         return poly.substitute({"t": minus_qinv}) if poly is not None else _Q0
 
     domain = set(h_support(lam))
     for wt in buckets:
-        k = k_of_wt(wt)
+        k = _k_of_z(a0, tuple(-x for x in wt))
         if k is None:
             result.mismatches.append({"wt": list(wt), "error": "no matching k"})
             continue
@@ -239,45 +235,28 @@ def prop3_check(lam, r: int = None) -> CheckResult:
     tsub = LaurentPoly.monomial(r, qexp=-1, coef=-1)
     lhs = deformed_denominator(r).substitute({"t": tsub}) * character(lam, r)
 
-    domain = set(h_support(lam))
-    for mono in lhs.terms:
-        k = []
-        acc = 0
-        ok = True
-        for i in range(r):
-            step = mono.z[i] + a0[i]  # doubled z-exponent plus a_{0,i}
-            if step % 2:
-                ok = False
-                break
-            acc += step // 2
-            k.append(acc)
-        if not ok or any(x < 0 for x in k):
+    # The product split by k: each part keeps its (t, q) exponents only.
+    parts = {}
+    for mono, coef in lhs.terms.items():
+        k = _k_of_z(a0, mono.z)
+        if k is None:
             result.mismatches.append(
                 {"monomial": str(mono), "error": "no matching k index"}
             )
             continue
-        domain.add(tuple(k))
+        parts.setdefault(k, {})[Monomial((0,) * r, mono.t, mono.q)] = coef
 
-    recon = LaurentPoly.zero(r)
-    for k in sorted(domain):
-        constraints = {}
-        zexp = []
-        for i in range(r):
-            twice = 2 * (k[i] - (k[i - 1] if i else 0)) - a0[i]
-            constraints[f"z{i + 1}"] = Fraction(twice, 2)
-            zexp.append(Fraction(twice, 2))
-        coeff = lhs.coefficient_of(constraints)
+    recon = {}
+    for k in sorted(set(h_support(lam)) | set(parts)):
+        coeff = LaurentPoly._make(parts.get(k, {}), r)
         hval = h_flat(k, lam).embed(r)
         result.checked += 1
         if coeff != hval:
             result.mismatches.append(
                 {"k": list(k), "coefficient": str(coeff), "h_flat": str(hval)}
             )
-        if hval:
-            recon = recon + hval.shift(
-                LaurentPoly.monomial(r, zexp=zexp).leading()
-            )
-    if recon != lhs:
+        recon.update(hval.shift(Monomial(_z_of_k(a0, k), 0, 0)).terms)
+    if LaurentPoly._make(recon, r) != lhs:
         result.mismatches.append({"error": "reconstruction differs from the product"})
     result.checked += 1
     return result

@@ -134,6 +134,10 @@ def test_enumerate_cq_csv():
         ("enumerate", "omega", "--mu", "2,2", "--index", "0"),
         ("verify", "prop4", "--mu", "2,2", "--dmax", "-1"),
         ("verify", "prop5", "--mu", "2,2", "--kmax", "-1"),
+        ("verify", "prop4", "--mu", "2,2", "--dmax", "1", "--budget", "-1"),
+        ("verify", "prop4", "--mu", "2,2", "--dmax", "1", "--budget", "0"),
+        ("verify", "nonsense"),
+        ("verify", "prop6", "--mu", "2,2", "--k", "-1,0"),
     ],
     ids=" ".join,
 )

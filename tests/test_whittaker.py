@@ -2,6 +2,7 @@ import cmath
 import itertools
 from fractions import Fraction
 
+from spinchar import whittaker
 from spinchar.laurent import LaurentPoly
 from spinchar.padic import cqc_layer_sums
 from spinchar.rootdata import upsilon
@@ -12,6 +13,7 @@ from spinchar.whittaker import (
     h_coeff,
     h_flat,
     h_support,
+    h_table,
     prop3_check,
 )
 
@@ -90,8 +92,7 @@ def test_prop3_rank1_and_rank2():
 def test_negative_nu_guard_is_never_exercised():
     # with the pullback decoration, fibers that would shift the weight out
     # of the dominant cone always carry zero sums: the guard stays idle
-    h_coeff.cache_clear()
-    h_support.cache_clear()
+    h_table.cache_clear()
     before = len(NEGATIVE_NU_EVENTS)
     for lam in itertools.product(range(2), repeat=2):
         assert gh_check(lam).ok
@@ -101,7 +102,24 @@ def test_negative_nu_guard_is_never_exercised():
 
 def test_mu_second_consistency_runs():
     # the per-step doubled-top-row identity is asserted inside the recursion
-    h_coeff.cache_clear()
+    h_table.cache_clear()
     for lam in [(1, 1), (0, 1, 0)]:
         for k in sorted(h_support(lam))[:10]:
             h_coeff(k, lam)
+
+
+def test_bridges_report_a_skewed_coefficient(monkeypatch):
+    # both checks read H through h_flat: one k off by 1 must show in each
+    lam = (1, 2)
+    bad = sorted(h_support(lam))[1]
+    real = whittaker.h_flat
+
+    def skewed(k, lam_):
+        value = real(k, lam_)
+        return value + 1 if tuple(k) == bad else value
+
+    monkeypatch.setattr(whittaker, "h_flat", skewed)
+    for check in (gh_check, prop3_check):
+        res = check(lam)
+        assert not res.ok
+        assert [m for m in res.mismatches if m.get("k") == list(bad)], check
