@@ -23,6 +23,7 @@ for lam in itertools.product(range(2), repeat=3):
     JOBS.append(("theorem1", ["--rank", "3", "--lambda", ",".join(map(str, lam))]))
 JOBS += [
     ("theorem1", ["--rank", "3", "--lambda", "2,1,1"]),  # the rank-3 frontier
+    ("theorem1", ["--rank", "4", "--lambda", "0,0,0,0"]),  # the rank-4 frontier
     ("corollary2", ["--rank", "2", "--lambda", "3,2"]),
     ("gh", ["--lambda", "3,2"]),
     ("gh", ["--lambda", "1,1,1"]),

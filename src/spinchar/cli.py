@@ -2,7 +2,8 @@
 
 Exit codes: 0 = pass, 1 = verification failure, 2 = usage or budget error
 (a malformed call, or a ValueError raised by the library on its input, is
-reported in one line on stderr).
+reported in one line on stderr).  When the reader closes stdout early
+(`spinchar ... | head`), the output stops quietly and the exit code stays.
 Reports are emitted as JSON on stdout (deterministic; runtime_ms is null
 unless --timing is given).
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -259,7 +261,7 @@ _VERIFIERS = {
 # -- enumerate ----------------------------------------------------------------
 
 
-def _enumerate(args) -> int:
+def _enumerate(args) -> None:
     kind = args.kind
     out = sys.stdout
     if kind == "gt":
@@ -272,7 +274,7 @@ def _enumerate(args) -> int:
             n += 1
             if args.limit and n >= args.limit:
                 break
-        return 0
+        return
     if kind == "tableaux":
         mu = _parse_ints(args.mu)
         n = 0
@@ -284,7 +286,7 @@ def _enumerate(args) -> int:
             n += 1
             if args.limit and n >= args.limit:
                 break
-        return 0
+        return
     if kind == "omega":
         mu = _parse_ints(args.mu)
         if args.index is not None and not 1 <= args.index <= len(mu):
@@ -293,7 +295,7 @@ def _enumerate(args) -> int:
             mu, args.kind_rel, weighting=args.weighting, k=args.k_scalar, i=args.index
         ):
             out.write(json.dumps({"d": list(t)}) + "\n")
-        return 0
+        return
     if kind == "cq":
         mup = _parse_ints(args.muprime)
         rows = []
@@ -327,14 +329,14 @@ def _enumerate(args) -> int:
         else:
             for row in rows:
                 out.write(json.dumps(row, sort_keys=True) + "\n")
-        return 0
+        return
     raise UsageError(f"unknown enumeration kind {kind!r}")
 
 
 # -- coeff --------------------------------------------------------------------
 
 
-def _coeff(args) -> int:
+def _coeff(args) -> None:
     lam, r = _dominant_lambda(args, "coeff")
     product = rootdata.deformed_denominator(r) * rootdata.character(lam, r)
     if args.t0:
@@ -346,7 +348,6 @@ def _coeff(args) -> int:
         name, _, value = fix.partition("=")
         constraints[name.strip()] = Fraction(value.strip())
     print(product.coefficient_of(constraints) if constraints else product)
-    return 0
 
 
 # -- entry point ---------------------------------------------------------------
@@ -434,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    code = 0  # the exit code once the output is written
     try:
         _check_required(args)
         if args.command == "verify":
@@ -441,23 +443,32 @@ def main(argv=None) -> int:
             report = _VERIFIERS[args.claim](args)
             if args.timing:
                 report.runtime_ms = round(1000 * (time.monotonic() - start), 3)
+            code = 0 if report.verdict == "pass" else 1
             if args.format == "text":
                 print(f"{report.claim}: {report.verdict}")
                 for m in report.mismatches[:20]:
                     print("  mismatch:", m)
             else:
                 print(report.to_json())
-            return 0 if report.verdict == "pass" else 1
-        if args.command == "enumerate":
-            return _enumerate(args)
-        if args.command == "coeff":
-            return _coeff(args)
+        elif args.command == "enumerate":
+            _enumerate(args)
+        else:
+            _coeff(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`spinchar ... | head`), which is
+        # not a failure: keep the exit code.  Point the descriptor at
+        # devnull so that the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
     except padic.BudgetExceededError as exc:
         return _usage_exit("budget error", exc)
     except (UsageError, ValueError) as exc:
         # A library ValueError means the input is outside what it accepts.
         return _usage_exit("error", exc)
-    return USAGE_ERROR
+    return code
 
 
 if __name__ == "__main__":

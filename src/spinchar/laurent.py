@@ -126,6 +126,70 @@ def _format_exp(twice: int) -> str:
 
 _FACTOR_RE = re.compile(r"^(z(\d+)|t|q)(?:\^\{(-?\d+(?:/2)?)\})?$")
 
+# A product with at least this many pairs of terms is multiplied on packed
+# keys.  Most products are far smaller (tiny q-polynomials), and there
+# packing and unpacking cost as much as the pairs save, or more.
+PACKED_MIN_PAIRS = 4096
+
+
+def _mul_dict(a: dict, b: dict) -> dict:
+    """Term map of the product of two term maps, one Monomial per pair."""
+    out = {}
+    for ma, ca in a.items():
+        za, ta, qa = ma
+        for mb, cb in b.items():
+            key = Monomial(
+                tuple(x + y for x, y in zip(za, mb.z)), ta + mb.t, qa + mb.q
+            )
+            val = out.get(key, 0) + ca * cb
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    return out
+
+
+def _mul_packed(a: dict, b: dict) -> dict:
+    """Term map of the product of two term maps, multiplied on packed keys.
+
+    Each monomial becomes one int: its exponent of every variable (z_1..z_r,
+    t, q), less that factor's minimum, fills a bit field as wide as the two
+    factors' spans added, so a sum of two keys never carries between fields
+    and adding keys multiplies monomials.  Python ints are unbounded, so the
+    result is exact for any exponents and coefficients.
+    """
+    if not a or not b:
+        return {}
+    cols_a = [*zip(*(m.z for m in a)), [m.t for m in a], [m.q for m in a]]
+    cols_b = [*zip(*(m.z for m in b)), [m.t for m in b], [m.q for m in b]]
+    keys_a, keys_b = [0] * len(a), [0] * len(b)
+    fields = []  # (offset, mask, exponent of field value 0) per variable
+    offset = 0
+    for col_a, col_b in zip(cols_a, cols_b):
+        lo_a, lo_b = min(col_a), min(col_b)
+        width = (max(col_a) - lo_a + max(col_b) - lo_b).bit_length()
+        keys_a = [k + ((e - lo_a) << offset) for k, e in zip(keys_a, col_a)]
+        keys_b = [k + ((e - lo_b) << offset) for k, e in zip(keys_b, col_b)]
+        fields.append((offset, (1 << width) - 1, lo_a + lo_b))
+        offset += width
+
+    out = {}
+    get = out.get
+    pairs_b = list(zip(keys_b, b.values()))
+    for ka, ca in zip(keys_a, a.values()):
+        for kb, cb in pairs_b:
+            key = ka + kb
+            out[key] = get(key, 0) + ca * cb
+
+    rank = len(fields) - 2
+    terms = {}
+    while out:  # popped as decoded: each packed key is freed as its term is built
+        key, coef = out.popitem()
+        if coef:
+            e = [((key >> off) & mask) + lo for off, mask, lo in fields]
+            terms[Monomial(tuple(e[:rank]), e[rank], e[rank + 1])] = coef
+    return terms
+
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients.
@@ -249,19 +313,8 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        for ma, ca in a.items():
-            za, ta, qa = ma
-            for mb, cb in b.items():
-                key = Monomial(
-                    tuple(x + y for x, y in zip(za, mb.z)), ta + mb.t, qa + mb.q
-                )
-                val = out.get(key, 0) + ca * cb
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-        return LaurentPoly._make(out, self.rank)
+        mul = _mul_packed if len(a) * len(b) >= PACKED_MIN_PAIRS else _mul_dict
+        return LaurentPoly._make(mul(a, b), self.rank)
 
     __rmul__ = __mul__
 

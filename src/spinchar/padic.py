@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gtpatterns import ShortGTPattern, top_row
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Monomial
 from .rootdata import upsilon
 
 DEFAULT_BUDGET = 10_000_000
@@ -215,7 +215,7 @@ def closed_form_G(t: ShortPatternB) -> LaurentPoly | None:
             arr = decorate_B(t)
             flags = list(zip(arr.boxed, arr.circled))
             del flags[r - 1 : r + 1]  # the middle pair enters the square sum
-            out = _ONE_MINUS_QINV * LaurentPoly.monomial(0, qexp=-((diff + 1) // 2))
+            out = _ONE_MINUS_QINV.shift(Monomial((), 0, -2 * ((diff + 1) // 2)))
             return out * _gamma_product(flags)
         return _Q0
     if middle_bound_holds(t) and d[r] <= mu[r]:
@@ -627,9 +627,7 @@ def g_delta_resonant(dtuple, mu) -> LaurentPoly:
 def lemma3_direct(s, mu) -> LaurentPoly:
     total = _Q0
     for x in omega_of(s, mu):
-        total = total + g_delta_resonant(x, mu) * LaurentPoly.monomial(
-            0, qexp=sum(x)
-        )
+        total = total + g_delta_resonant(x, mu).shift(Monomial((), 0, 2 * sum(x)))
     return total
 
 
@@ -643,7 +641,7 @@ def lemma3_closed(s, mu) -> LaurentPoly:
     flags = _resonant_flags(s[:ib], mu[:ib])
     if s[ib - 1] > 0:
         del flags[ib - 1]  # the unboxed uncircled factor 1 - q^{-1} is divided out
-    return LaurentPoly.monomial(0, qexp=sum(s) - (r - ib)) * _gamma_product(flags)
+    return _gamma_product(flags).shift(Monomial((), 0, 2 * (sum(s) - (r - ib))))
 
 
 def resonant_closed_G(dtuple, mu) -> LaurentPoly:

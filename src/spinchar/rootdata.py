@@ -137,10 +137,9 @@ def deformed_denominator(r: int) -> LaurentPoly:
             zi, zj = LaurentPoly.z_var(r, i), LaurentPoly.z_var(r, j)
             factors.append(one + t * zi * zj.inverse_monomial())
             factors.append(one + t * zi * zj)
-    prefix = LaurentPoly.monomial(
-        r, zexp=[Fraction(-(2 * (r - i) + 1), 2) for i in range(1, r + 1)]
-    )
-    return prefix * prod(factors, r)
+    # z^(-rho): the doubled z-exponents are -(2 (r - i) + 1).
+    z_minus_rho = tuple(-(2 * (r - i) + 1) for i in range(1, r + 1))
+    return prod(factors, r).shift(Monomial(z_minus_rho, 0, 0))
 
 
 def weyl_numerator(nu: WeightVector, r: int = None) -> LaurentPoly:

@@ -99,7 +99,7 @@ def h_table(lam: tuple) -> dict:
             NEGATIVE_NU_EVENTS.append((lam, kp))
             continue
         assert upsilon(tuple(n + 1 for n in nu)) == _mu_second(lam, kp)
-        layer = gsum * LaurentPoly.monomial(0, qexp=kp[r - 1] + sum(kp[: r - 1]) // 2)
+        layer = gsum.shift(Monomial((), 0, 2 * (kp[r - 1] + sum(kp[: r - 1]) // 2)))
         for ksub, hsub in h_table(nu).items():
             k = (
                 (kp[0] // 2,)
@@ -121,7 +121,7 @@ def h_coeff(k: tuple, lam: tuple) -> LaurentPoly:
 
 def h_flat(k: tuple, lam: tuple) -> LaurentPoly:
     """q^(-sum k) H(p^k; p^lambda)."""
-    return h_coeff(tuple(k), tuple(lam)) * LaurentPoly.monomial(0, qexp=-sum(k))
+    return h_coeff(tuple(k), tuple(lam)).shift(Monomial((), 0, -2 * sum(k)))
 
 
 def h_support(lam: tuple) -> frozenset:

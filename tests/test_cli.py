@@ -147,3 +147,56 @@ def test_malformed_calls_are_usage_errors(argv):
     assert "Traceback" not in out.stderr
     assert len(out.stderr.strip().splitlines()) == 1
     assert out.stdout == ""
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, sink):
+        self.sink = sink
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.sink.fileno()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("enumerate", "gt", "--mu", "2,2"), 0),
+        (("coeff", "--rank", "1", "--lambda", "2"), 0),
+        (("verify", "prop5", "--mu", "2,1"), 0),
+        (("verify", "lemma3", "--mu", "2,2"), 1),  # made to fail below
+    ],
+    ids=("enumerate", "coeff", "verify-pass", "verify-fail"),
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code, monkeypatch, tmp_path, capsys):
+    from spinchar import cli
+    from spinchar.reports import Report
+
+    def failing(args):
+        return Report("lemma3", {}, mismatches=[{"error": "made to fail"}])
+
+    monkeypatch.setitem(cli._VERIFIERS, "lemma3", failing)
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink))
+        assert cli.main(list(argv)) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_the_pipe_early_is_not_a_failure():
+    proc = subprocess.Popen(
+        PY + ["enumerate", "gt", "--mu", "2,2,2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()  # the rest of the stream, megabytes, has no reader
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0
+    assert err == ""
+    assert "in_circle" in first

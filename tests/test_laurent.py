@@ -5,13 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchar.laurent import (
+    PACKED_MIN_PAIRS,
     HalfInt,
     LaurentPoly,
     Monomial,
     NonExactDivisionError,
     RankMismatchError,
     SubstitutionError,
+    _mul_dict,
+    _mul_packed,
 )
+from spinchar.rootdata import character, deformed_denominator
 
 
 def z(i, rank=2, half=False):
@@ -172,3 +176,60 @@ def test_evaluate_is_a_ring_map(a, b):
     # square rational values so half-integer exponents evaluate exactly
     assert (a + b).evaluate(_POINT) == a.evaluate(_POINT) + b.evaluate(_POINT)
     assert (a * b).evaluate(_POINT) == a.evaluate(_POINT) * b.evaluate(_POINT)
+
+
+# -- the packed product against the dict loop, which is its oracle ---------
+
+
+def term_maps(rank, lo, hi, coefs, min_size, max_size):
+    """Term maps of min_size..max_size terms, exponents in [lo, hi]."""
+    exps = st.integers(lo, hi)
+    monos = st.builds(
+        Monomial, st.tuples(*(exps for _ in range(rank))), st.integers(0, hi), exps
+    )
+    return st.dictionaries(
+        monos, coefs.filter(bool), min_size=min_size, max_size=max_size
+    )
+
+
+@pytest.mark.parametrize("sizes", ((0, 20), (64, 90)), ids=("below", "above"))
+@pytest.mark.parametrize("rank", range(5))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_packed_product_matches_dict_loop(rank, sizes, data):
+    # Each factor has a term count in `sizes`: every product is below
+    # PACKED_MIN_PAIRS or every one is above it.  Exponents are narrow, so
+    # many pairs share a monomial.
+    maps = term_maps(rank, -8, 8, st.integers(-9, 9), *sizes)
+    a, b = data.draw(maps), data.draw(maps)
+    want = _mul_dict(a, b)
+    assert _mul_packed(a, b) == want
+    assert _mul_packed(b, a) == want
+    assert (LaurentPoly(a, rank) * LaurentPoly(b, rank)).terms == want
+
+
+@pytest.mark.parametrize("rank", (0, 3))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_packed_product_has_no_fixed_width(rank, data):
+    maps = term_maps(rank, -(10**6), 10**6, st.integers(-(2**70), 2**70), 0, 12)
+    a, b = data.draw(maps), data.draw(maps)
+    assert _mul_packed(a, b) == _mul_dict(a, b)
+
+
+def test_packed_product_drops_cancelled_terms():
+    # (z1 - z2) (z1^(n-1) + z1^(n-2) z2 + ... + z2^(n-1)) t q^(1/2)
+    # = (z1^n - z2^n) t q^(1/2): all the middle terms cancel.
+    n = PACKED_MIN_PAIRS
+    a = {Monomial((2, 0), 0, 0): 1, Monomial((0, 2), 0, 0): -1}
+    b = {Monomial((2 * (n - 1 - i), 2 * i), 1, 1): 1 for i in range(n)}
+    want = {Monomial((2 * n, 0), 1, 1): 1, Monomial((0, 2 * n), 1, 1): -1}
+    assert _mul_dict(a, b) == want
+    assert _mul_packed(a, b) == want
+    assert (LaurentPoly(a, 2) * LaurentPoly(b, 2)).terms == want
+
+
+def test_packed_product_on_a_rank_four_character():
+    d, chi = deformed_denominator(4).terms, character((1, 0, 0, 0), 4).terms
+    assert len(d) * len(chi) >= PACKED_MIN_PAIRS
+    assert _mul_packed(d, chi) == _mul_dict(d, chi)
