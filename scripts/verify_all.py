@@ -14,17 +14,29 @@ import subprocess
 import sys
 import time
 
-JOBS = []
-for lam in range(7):
-    JOBS.append(("theorem1", ["--rank", "1", "--lambda", str(lam)]))
-for lam in itertools.product(range(3), repeat=2):
-    JOBS.append(("theorem1", ["--rank", "2", "--lambda", ",".join(map(str, lam))]))
-for lam in itertools.product(range(2), repeat=3):
-    JOBS.append(("theorem1", ["--rank", "3", "--lambda", ",".join(map(str, lam))]))
+IDENTITY_GRID = (
+    [(lam,) for lam in range(7)]
+    + list(itertools.product(range(3), repeat=2))
+    + list(itertools.product(range(2), repeat=3))
+)
+
+
+def lambda_args(lam) -> list:
+    return ["--rank", str(len(lam)), "--lambda", ",".join(map(str, lam))]
+
+
+# theorem1 and its tableau twin corollary2 on the rank 1-3 grid, then the
+# frontier weights.
+JOBS = [(claim, lambda_args(lam)) for claim in ("theorem1", "corollary2")
+        for lam in IDENTITY_GRID]
 JOBS += [
-    ("theorem1", ["--rank", "3", "--lambda", "2,1,1"]),  # the rank-3 frontier
-    ("theorem1", ["--rank", "4", "--lambda", "0,0,0,0"]),  # the rank-4 frontier
-    ("corollary2", ["--rank", "2", "--lambda", "3,2"]),
+    ("theorem1", lambda_args((2, 1, 1))),  # the rank-3 frontier
+    ("theorem1", lambda_args((0, 0, 0, 0))),  # the rank-4 frontier
+    ("corollary2", lambda_args((2, 1, 1))),
+    ("corollary2", lambda_args((0, 0, 0, 0))),
+    ("corollary2", lambda_args((1, 0, 0, 0))),
+    ("corollary2", lambda_args((0, 0, 0, 1))),
+    ("corollary2", lambda_args((3, 2))),
     ("gh", ["--lambda", "3,2"]),
     ("gh", ["--lambda", "1,1,1"]),
     ("prop3", ["--lambda", "3,2"]),

@@ -22,7 +22,9 @@ Classes, statistics, wt_i and both circle tests of an entry in row b_i or
 a_i depend only on the slice (a_{i-1}, b_i, a_i), a ShortGTPattern, where
 they are defined; a GTPattern sums or conjoins them over its slices.  The
 pattern-side sum uses that locality directly (circle_sum, a transfer over
-a-rows); enumerate_strict with in_gt_circle is the independent oracle.
+a-rows by slice_walk, which the tableau-side sum shares with its own
+per-slice scorer); enumerate_strict with in_gt_circle is the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -386,58 +388,82 @@ def enumerate_circle(mu):
             yield p
 
 
-def circle_sum(mu) -> dict:
-    """Statistics of the circle subset for top row from mu, without enumerating.
+def slice_walk(top, score, join, leaf) -> dict:
+    """{key: number of patterns} over the strict patterns with top row ``top``.
 
-    Returns {(wt, max, max1, gen): number of circle patterns}, the same
-    tally as over enumerate_circle(mu), by a slice transfer: every input to
-    a pattern's weight lives in one slice (a_{i-1}, b_i, a_i), so the rows
-    below an a-row are summed once (memoized on the a-row) and joined to
-    each slice above it.  A path carries two flags, "every slice even by
-    c-statistic" and "every slice passes row-parity", and is dropped once
-    both are false.  Both guards of the enumeration route hold: on a
-    doubled top a pattern whose flags differ raises RuntimeError, and max1
-    must be even on every circle pattern.
+    A transfer over a-rows: a pattern is a chain of slices (a_{i-1}, b_i,
+    a_i), so the rows below an a-row are summed once (memoized on the a-row)
+    and joined to each slice above it.  ``score(a0, b1, a1)`` gives one
+    slice's key, or None to drop the slice.  ``join(key, count, tails,
+    out)`` joins a slice key, held by ``count`` slices, to the tally
+    {tail key: count} of the patterns below their a1, adding each kept
+    joined key with its count into ``out``.  ``leaf`` is the key of the
+    empty pattern below the last slice.  There are no patterns (and the
+    result is empty) when the top row is not strictly decreasing.
     """
-    top = top_row(mu)
-    r = len(top)
-    if any(top[k] <= top[k + 1] for k in range(r - 1)):
+    top = tuple(top)
+    if any(top[k] <= top[k + 1] for k in range(len(top) - 1)):
         return {}
-    ref = top[-1] % 2
-    doubled = _is_doubled(top)
-    memo = {(): {((), 0, 0, 0, True, True): 1}}
+    memo = {(): {leaf: 1}}
 
     def below(arow):
-        """{(wt, max, max1, gen, by_cstat, by_rows): count} under an a-row."""
         if arow in memo:
             return memo[arow]
         n = len(arow)
         by_a1 = {}  # slice tallies grouped by the next a-row
         for b in _interleavings(arow, n):
             for a1 in _interleavings(b, n - 1, last_floor=1):
-                s = ShortGTPattern(n, arow, b, a1)
-                by_cstat = s.in_circle()
-                by_rows = s.in_circle_by_row_parity(ref) if doubled else by_cstat
-                if not (by_cstat or by_rows):
+                key = score(arow, b, a1)
+                if key is None:
                     continue
-                st = s.stats()
-                key = (s.wt1(), st.max, st.max1, st.gen, by_cstat, by_rows)
                 tally = by_a1.setdefault(a1, {})
                 tally[key] = tally.get(key, 0) + 1
         out = {}
         for a1, tally in by_a1.items():
             rest = below(a1)
-            for (w, m, m1, g, fc, fr), count in tally.items():
-                for (tw, tm, tm1, tg, tfc, tfr), tcount in rest.items():
-                    fc2, fr2 = fc and tfc, fr and tfr
-                    if fc2 or fr2:
-                        key = ((w,) + tw, m + tm, m1 + tm1, g + tg, fc2, fr2)
-                        out[key] = out.get(key, 0) + count * tcount
+            for key, count in tally.items():
+                join(key, count, rest, out)
         memo[arow] = out
         return out
 
+    return below(top)
+
+
+def circle_sum(mu) -> dict:
+    """Statistics of the circle subset for top row from mu, without enumerating.
+
+    Returns {(wt, max, max1, gen): number of circle patterns}, the same
+    tally as over enumerate_circle(mu), by slice_walk: every input to a
+    pattern's weight lives in one slice.  A path carries two flags, "every
+    slice even by c-statistic" and "every slice passes row-parity", and is
+    dropped once both are false.  Both guards of the enumeration route
+    hold: on a doubled top a pattern whose flags differ raises
+    RuntimeError, and max1 must be even on every circle pattern.
+    """
+    top = top_row(mu)
+    ref = top[-1] % 2
+    doubled = _is_doubled(top)
+
+    def score(a0, b1, a1):
+        s = ShortGTPattern(len(a0), a0, b1, a1)
+        by_cstat = s.in_circle()
+        by_rows = s.in_circle_by_row_parity(ref) if doubled else by_cstat
+        if not (by_cstat or by_rows):
+            return None
+        st = s.stats()
+        return (s.wt1(), st.max, st.max1, st.gen, by_cstat, by_rows)
+
+    def join(key, count, tails, out):
+        w, m, m1, g, fc, fr = key
+        for (tw, tm, tm1, tg, tfc, tfr), tcount in tails.items():
+            fc2, fr2 = fc and tfc, fr and tfr
+            if fc2 or fr2:
+                joined = ((w,) + tw, m + tm, m1 + tm1, g + tg, fc2, fr2)
+                out[joined] = out.get(joined, 0) + count * tcount
+
     total = {}
-    for (wt, nmax, max1, gen, by_cstat, by_rows), count in below(top).items():
+    walk = slice_walk(top, score, join, ((), 0, 0, 0, True, True))
+    for (wt, nmax, max1, gen, by_cstat, by_rows), count in walk.items():
         if by_cstat != by_rows:
             raise RuntimeError(
                 f"circle-membership characterizations disagree under top row {top}"

@@ -624,16 +624,19 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         parts = []
+        z = zpart = None
+        # Sorted on (z, t, q), the terms of one z-part are adjacent, so each
+        # distinct z-part is formatted once.
         for mono in sorted(self.terms, reverse=True):
             coef = self.terms[mono]
-            factors = []
-            for i, e in enumerate(mono.z):
-                if e == 0:
-                    continue
-                if e == 2:
-                    factors.append(f"z{i + 1}")
-                else:
-                    factors.append(f"z{i + 1}^{{{_format_exp(e)}}}")
+            if mono.z != z:
+                z = mono.z
+                zpart = " ".join(
+                    f"z{i + 1}" if e == 2 else f"z{i + 1}^{{{_format_exp(e)}}}"
+                    for i, e in enumerate(z)
+                    if e
+                )
+            factors = [zpart] if zpart else []
             if mono.t == 1:
                 factors.append("t")
             elif mono.t:

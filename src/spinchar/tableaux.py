@@ -16,14 +16,31 @@ with horizontal/vertical cell adjacency; str(S) totals their connected
 components over all symbols.  This matches the worked value 13 on the
 running example and, over full sweeps, the statistic dictionary relating
 tableaux to pattern statistics.
+
+Every statistic is a sum over symbols of a share read off one strip: the
+cells holding m' and m lie between the shifted shapes <= m-1, <= m' and
+<= m, which are the pattern rows a_{r-m+1}, b_{r-m+1} and a_{r-m}.  In
+one row the cells of one symbol form a single run, and runs of adjacent
+rows are connected exactly when their columns overlap, so components are
+counted from runs.  score_strip (cached) gives a symbol's share, both
+circle conditions for it included; statistics and in_st_circle read the
+strips off a tableau's rows, and corollary_rhs sums over chains of shapes
+with gtpatterns.slice_walk, scoring each strip once and never touching
+the pattern statistics.  The enumeration sum stays as the oracle
+_corollary_rhs_by_enumeration.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
-from .gtpatterns import GTPattern, add_weight_terms
+from .gtpatterns import (
+    GTPattern, add_weight_terms, enumerate_strict, slice_walk, top_row,
+)
 from .laurent import LaurentPoly
 from .rootdata import upsilon
 
@@ -62,7 +79,7 @@ class Tableau:
         ), "row lengths must strictly decrease"
         for li, row in enumerate(self.rows):
             if row:  # diagonal condition: row L starts with L' or L
-                assert row[0] <= unbarred(li + 1), "diagonal entry too large"
+                assert barred(li + 1) <= row[0] <= unbarred(li + 1), "diagonal entry"
         grid = {(row, col): code for row, col, code in self.cells()}
         for (row, col), code in grid.items():
             assert 1 <= code <= 2 * self.rank
@@ -80,8 +97,26 @@ class Tableau:
         return [sum(1 for c in row if c == code) for row in self.rows]
 
     def components(self, code: int) -> list:
-        """Connected components (edge adjacency) of the cells holding code."""
-        return _components({(row, col) for row, col, c in self.cells() if c == code})
+        """Connected components (edge adjacency) of the cells holding code.
+
+        A breadth-first search over cells, kept as the oracle of the run
+        count in score_strip.
+        """
+        cells = {(row, col) for row, col, c in self.cells() if c == code}
+        comps = []
+        while cells:
+            seed = cells.pop()
+            comp = {seed}
+            frontier = [seed]
+            while frontier:
+                row, col = frontier.pop()
+                for nxt in ((row, col - 1), (row, col + 1), (row - 1, col), (row + 1, col)):
+                    if nxt in cells:
+                        cells.remove(nxt)
+                        comp.add(nxt)
+                        frontier.append(nxt)
+            comps.append(comp)
+        return comps
 
     def pretty(self) -> str:
         lines = []
@@ -90,25 +125,6 @@ class Tableau:
             pad = " " * ((width + 1) * li)
             lines.append(pad + " ".join(symbol_name(c).rjust(width) for c in row))
         return "\n".join(lines)
-
-
-def _components(cells: set) -> list:
-    """Connected components (edge adjacency) of a set of (row, col) cells."""
-    cells = set(cells)
-    comps = []
-    while cells:
-        seed = cells.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            row, col = frontier.pop()
-            for nxt in ((row, col - 1), (row, col + 1), (row - 1, col), (row + 1, col)):
-                if nxt in cells:
-                    cells.remove(nxt)
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        comps.append(comp)
-    return comps
 
 
 @dataclass(frozen=True)
@@ -177,42 +193,100 @@ def to_gt(s: Tableau, r: int = None) -> GTPattern:
     return p
 
 
+class Strip(NamedTuple):
+    """Symbol m's share of the tableau statistics, read off its strip."""
+
+    x: int  # cells holding m
+    xbar: int  # cells holding m'
+    row_u: int  # rows holding m
+    row_b: int  # rows holding m'
+    con_u: int  # components of the cells holding m
+    con_b: int  # components of the cells holding m'
+    l: Optional[int]  # the one row with an odd count of m, else m; None if several
+    in_circle: bool  # both circle conditions for m
+
+
+def _run_components(runs) -> int:
+    """Components of one run per row, [start, stop) columns, rows in order.
+
+    Runs of adjacent rows connect exactly when their columns overlap, and
+    only adjacent rows touch, so components = runs - overlapping pairs.
+    """
+    n = 0
+    prev = None
+    for start, stop in runs:
+        if start < stop:
+            n += 1
+            if prev is not None and prev[0] < stop and start < prev[1]:
+                n -= 1
+            prev = (start, stop)
+        else:
+            prev = None
+    return n
+
+
+@lru_cache(maxsize=1 << 16)
+def score_strip(hi: tuple, mid: tuple, lo: tuple) -> Strip:
+    """Symbol m's strip between the shapes <= m-1, <= m' and <= m.
+
+    Row L (L = 1..m) holds hi[L-1] cells <= m, mid[L-1] cells <= m' and
+    lo[L-1] cells <= m-1 (lo has m-1 entries: row m holds nothing below
+    m').  Row L starts at column L, so m' fills columns L + lo_L ..
+    L + mid_L - 1 and m fills L + mid_L .. L + hi_L - 1.  The circle
+    conditions for m: (1) every row L != m holds an even number of m' and
+    m together; (2) when the first row L0 with an odd number of m lies
+    above row m, no row below L0 holds m (so L0 is the only such row) and
+    the m' cells in rows >= L0 form one component that does not reach
+    row L0 - 1.
+    """
+    m = len(hi)
+    lo = lo + (0,)
+    rows = range(m)  # row L = k + 1 starts at column k + 1
+    bar = [(k + lo[k], k + mid[k]) for k in rows]
+    con_b = _run_components(bar)
+    odd = [k for k in rows if (hi[k] - mid[k]) % 2]
+    circle = all((hi[k] - lo[k]) % 2 == 0 for k in rows[:-1])
+    if circle and odd and odd[0] < m - 1:
+        k0 = odd[0]
+        if any(hi[k] > mid[k] for k in rows[k0 + 1:]):
+            circle = False
+        elif any(mid[k] > lo[k] for k in rows[k0:]):
+            below = _run_components(bar[k0:])
+            circle = below == 1 and _run_components(bar[:k0]) + below == con_b
+    return Strip(
+        sum(hi) - sum(mid),
+        sum(mid) - sum(lo),
+        sum(1 for k in rows if hi[k] > mid[k]),
+        sum(1 for k in rows if mid[k] > lo[k]),
+        _run_components([(k + mid[k], k + hi[k]) for k in rows]),
+        con_b,
+        (odd[0] + 1 if odd else m) if len(odd) <= 1 else None,
+        circle,
+    )
+
+
+def symbol_strips(s: Tableau) -> tuple:
+    """strips[m-1] = score_strip of symbol m, its runs read off s.rows."""
+    r = s.rank
+    codes = range(2 * r + 1)
+    cum = []
+    for li, row in enumerate(s.rows):
+        if row and row[0] < barred(li + 1):
+            raise ValueError(f"row {li + 1} holds a symbol below {li + 1}'")
+        cum.append([bisect_right(row, c) for c in codes])
+    cum += [[0] * len(codes)] * (r - len(cum))
+    cols = list(zip(*cum))  # cols[c][L-1] = cells of row L holding a code <= c
+    return tuple(
+        score_strip(
+            cols[unbarred(m)][:m], cols[barred(m)][:m], cols[unbarred(m - 1)][:m - 1]
+        )
+        for m in range(1, r + 1)
+    )
+
+
 def in_st_circle(s: Tableau) -> bool:
     """The two counting conditions carving out the circle subset of tableaux."""
-    r = s.rank
-    for m in range(2, r + 1):
-        cnt_b = s.row_counts(barred(m))
-        cnt_u = s.row_counts(unbarred(m))
-        for li in range(len(s.rows)):
-            if li + 1 == m:
-                continue
-            if (cnt_b[li] + cnt_u[li]) % 2:
-                return False
-    for m in range(1, r + 1):
-        odd_rows = [
-            li + 1 for li, c in enumerate(s.row_counts(unbarred(m))) if c % 2
-        ]
-        if len(odd_rows) > 1:
-            return False
-        if odd_rows and odd_rows[0] < m:
-            row0 = odd_rows[0]
-            counts = s.row_counts(unbarred(m))
-            if any(counts[li] for li in range(row0, len(s.rows))):
-                return False
-            below = [
-                (row, col)
-                for row, col, c in s.cells()
-                if c == barred(m) and row >= row0
-            ]
-            if below:
-                comps = [
-                    comp
-                    for comp in s.components(barred(m))
-                    if any(cell in comp for cell in below)
-                ]
-                if len(comps) != 1 or set().union(*comps) != set(below):
-                    return False
-    return True
+    return all(st.in_circle for st in symbol_strips(s))
 
 
 def statistics(s: Tableau, partial: bool = False) -> TableauStats:
@@ -221,57 +295,81 @@ def statistics(s: Tableau, partial: bool = False) -> TableauStats:
     With ``partial`` the l-values come back as None instead of raising when
     some symbol has several odd-count rows (tableau outside the circle).
     """
-    r = s.rank
-    # One pass over the cells: per-symbol cells and per-row counts.
-    cells = {code: set() for code in range(1, 2 * r + 1)}
-    rows = {code: [0] * len(s.rows) for code in cells}
-    for row, col, code in s.cells():
-        cells[code].add((row, col))
-        rows[code][row - 1] += 1
-    ncomp = {code: len(_components(cells[code])) for code in cells}
-    str_total = sum(ncomp.values())
-    x = tuple(len(cells[unbarred(m)]) for m in range(1, r + 1))
-    xbar = tuple(len(cells[barred(m)]) for m in range(1, r + 1))
-    wt = tuple(x[m - 1] - xbar[m - 1] for m in range(r, 0, -1))
-    row_u = tuple(sum(1 for c in rows[unbarred(m)] if c) for m in range(1, r + 1))
-    row_b = tuple(sum(1 for c in rows[barred(m)] if c) for m in range(1, r + 1))
-    con_b = tuple(ncomp[barred(m)] for m in range(1, r + 1))
-    hgtbar = sum(row_b[m] - con_b[m] - row_u[m] for m in range(r))
-    l_values = []
-    for m in range(1, r + 1):
-        odd_rows = [li + 1 for li, c in enumerate(rows[unbarred(m)]) if c % 2]
-        if len(odd_rows) > 1:
-            if partial:
-                l_values = None
-                break
+    return _statistics(symbol_strips(s), partial)
+
+
+def _statistics(strips: tuple, partial: bool) -> TableauStats:
+    x, xbar, row_u, row_b, con_u, con_b, l_values, _ = zip(*strips)
+    wt = tuple(a - b for a, b in zip(reversed(x), reversed(xbar)))
+    hgtbar = sum(row_b) - sum(con_b) - sum(row_u)
+    if None in l_values:
+        if not partial:
             raise ValueError("the row statistic needs a circle-subset tableau")
-        l_values.append(odd_rows[0] if odd_rows else m)
-    if l_values is not None:
-        l_values = tuple(l_values)
+        l_values = None
     return TableauStats(
-        str_total, x, xbar, wt, row_u, row_b, con_b, hgtbar, l_values,
-        sum(l_values) if l_values is not None else None,
+        sum(con_u) + sum(con_b), x, xbar, wt, row_u, row_b, con_b, hgtbar,
+        l_values, sum(l_values) if l_values is not None else None,
     )
+
+
+def _add_term(terms: dict, r: int, wt: tuple, l_total: int, base_t: int,
+              str_total: int, count: int = 1) -> None:
+    """terms += count (-1)^(r(r+1)/2 - l) t^base_t (1+t)^(str - r) z^(-wt/2).
+
+    Only the parity of ``l_total`` is read.
+    """
+    if base_t < 0:
+        raise ValueError("negative t exponent; tableau outside the circle subset?")
+    sign = -1 if (r * (r + 1) // 2 - l_total) % 2 else 1
+    zexp = tuple(-w for w in wt)  # doubled exponents of z^(-wt/2)
+    add_weight_terms(terms, zexp, sign * count, base_t, str_total - r)
 
 
 def tableau_term(s: Tableau) -> LaurentPoly:
     """(-1)^(r(r+1)/2 - l) t^(hgtbar + l) (1+t)^(str - r) z^(-wt/2)."""
-    r = s.rank
     st = statistics(s)
-    sign = -1 if (r * (r + 1) // 2 - st.l_total) % 2 else 1
-    base_t = st.hgtbar + st.l_total
-    if base_t < 0:
-        raise ValueError("negative t exponent; tableau outside the circle subset?")
-    zexp = tuple(-w for w in st.wt)  # doubled exponents of z^(-wt/2)
     terms = {}
-    add_weight_terms(terms, zexp, sign, base_t, st.str_total - r)
-    return LaurentPoly._make(terms, r)
+    _add_term(terms, s.rank, st.wt, st.l_total, st.hgtbar + st.l_total, st.str_total)
+    return LaurentPoly._make(terms, s.rank)
+
+
+def _strip_key(hi: tuple, mid: tuple, lo: tuple):
+    """(wt share, t share, l mod 2, str share) of a circle strip, else None."""
+    st = score_strip(hi, mid, lo)
+    if not st.in_circle:
+        return None
+    t = st.row_b - st.con_b - st.row_u + st.l
+    return (st.x - st.xbar, t, st.l % 2, st.con_u + st.con_b)
+
+
+def _join_strip_keys(key, count, tails, out):
+    w, t, l, n = key
+    for (tw, tt, tl, tn), tcount in tails.items():
+        joined = ((w,) + tw, t + tt, (l + tl) % 2, n + tn)
+        out[joined] = out.get(joined, 0) + count * tcount
 
 
 def corollary_rhs(lam, r: int = None) -> LaurentPoly:
-    """Tableau-side sum over the circle subset of shape v(lam + rho)."""
-    from .gtpatterns import enumerate_strict
+    """Tableau-side sum over the circle subset of shape v(lam + rho).
 
+    A transfer over chains of shifted shapes (the a-rows of the pattern
+    bijection): each strip between consecutive shapes is scored once by
+    score_strip, and its shares of wt, t, the sign and str are summed along
+    the chain by gtpatterns.slice_walk.
+    """
+    lam = tuple(lam)
+    if r is None:
+        r = len(lam)
+    top = top_row(upsilon(tuple(l + 1 for l in lam)))
+    terms = {}
+    chains = slice_walk(top, _strip_key, _join_strip_keys, ((), 0, 0, 0))
+    for (wt, t, l_parity, str_total), count in chains.items():
+        _add_term(terms, len(top), wt, l_parity, t, str_total, count)
+    return LaurentPoly._make(terms, r)
+
+
+def _corollary_rhs_by_enumeration(lam, r: int = None) -> LaurentPoly:
+    """corollary_rhs by enumerating every pattern and tableau (the oracle)."""
     lam = tuple(lam)
     if r is None:
         r = len(lam)
@@ -286,7 +384,8 @@ def corollary_rhs(lam, r: int = None) -> LaurentPoly:
 
 
 def tableau_json(s: Tableau) -> str:
-    st = statistics(s, partial=True)
+    strips = symbol_strips(s)
+    st = _statistics(strips, partial=True)
     record = {
         "rank": s.rank,
         "rows": [[symbol_name(c) for c in row] for row in s.rows],
@@ -297,6 +396,6 @@ def tableau_json(s: Tableau) -> str:
         "wt": list(st.wt),
         "hgtbar": st.hgtbar,
         "l": list(st.l_values) if st.l_values is not None else None,
-        "in_circle": in_st_circle(s),
+        "in_circle": all(strip.in_circle for strip in strips),
     }
     return json.dumps(record, sort_keys=True)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from spinchar import gtpatterns, tableaux
 from spinchar.gtpatterns import (
     GTPattern,
     enumerate_strict,
@@ -13,16 +14,19 @@ from spinchar.laurent import Monomial
 from spinchar.rootdata import upsilon
 from spinchar.tableaux import (
     Tableau,
+    _corollary_rhs_by_enumeration,
     barred,
     corollary_rhs,
     from_gt,
     in_st_circle,
     statistics,
     symbol_name,
+    symbol_strips,
     tableau_term,
     to_gt,
     unbarred,
 )
+from tests.test_acceptance import THEOREM1_CASES
 from tests.test_gtpatterns import EXAMPLE
 
 
@@ -87,9 +91,30 @@ def test_condition1_violation():
     assert not in_gt_circle(p)
 
 
+def test_condition2_cuts_lower_barred_cells_off():
+    # Row 2 holds one 3 (odd, below row 3), and its 3' cell touches the 3'
+    # cells of row 1: the only condition that fails is that the 3' cells
+    # of rows >= 2 must not reach row 1.
+    p = GTPattern(3, ((4, 3, 0), (2, 1), (2,)), ((4, 2, 0), (2, 0), (2,)))
+    p.validate()
+    s = from_gt(p)
+    names = [[symbol_name(c) for c in row] for row in s.rows]
+    assert names == [["1'", "1'", "3'", "3'"], ["2", "3'", "3"]]
+    (comp,) = s.components(barred(3))
+    assert {row for row, _ in comp} == {1, 2}
+    assert [st.in_circle for st in symbol_strips(s)] == [True, True, False]
+    assert not in_st_circle(s)
+
+
 def test_diagonal_condition_in_validate():
     with pytest.raises(AssertionError):
         Tableau(2, ((barred(2), barred(2)), (unbarred(2),))).validate()
+    # row 2 starts with 1, below 2', so it has no strips either
+    low = Tableau(2, ((barred(1), barred(1)), (unbarred(1),)))
+    with pytest.raises(AssertionError):
+        low.validate()
+    with pytest.raises(ValueError):
+        symbol_strips(low)
 
 
 def test_term_match_and_aggregate():
@@ -112,3 +137,67 @@ def test_pretty_is_shifted():
     assert len(lines) == 5
     indents = [len(line) - len(line.lstrip()) for line in lines]
     assert indents == sorted(indents)
+
+
+ENUMERATION_CASES = (
+    [((lam,), 1) for lam in range(7)]
+    + [(lam, 2) for lam in itertools.product(range(3), repeat=2)]
+    + [((0, 0, 0), 3), ((1, 0, 0), 3), ((0, 0, 1), 3)]
+)
+
+
+@pytest.mark.parametrize("lam,r", ENUMERATION_CASES, ids=str)
+def test_strip_transfer_matches_enumeration(lam, r):
+    assert corollary_rhs(lam, r) == _corollary_rhs_by_enumeration(lam, r)
+
+
+@pytest.mark.parametrize(
+    "lam,r",
+    list(THEOREM1_CASES) + [((2, 1, 1), 3), ((0, 0, 0, 0), 4)],
+    ids=str,
+)
+def test_strip_transfer_matches_pattern_sum(lam, r):
+    assert corollary_rhs(lam, r) == tokuyama_rhs(lam, r)
+
+
+def test_strip_transfer_uses_no_pattern_statistics(monkeypatch):
+    expected = {lam: corollary_rhs(lam, 3) for lam in [(0, 0, 1), (1, 1, 0)]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pattern statistics used by the tableau sum")
+
+    monkeypatch.setattr(gtpatterns, "ShortGTPattern", refuse)
+    monkeypatch.setattr(gtpatterns, "_slice", refuse)
+    tableaux.score_strip.cache_clear()
+    for lam, poly in expected.items():
+        assert corollary_rhs(lam, 3) == poly
+
+
+def test_strip_transfer_keeps_negative_t_guard(monkeypatch):
+    real = tableaux.score_strip
+
+    def skewed(hi, mid, lo):
+        st = real(hi, mid, lo)
+        return st._replace(row_u=st.row_u + 100)
+
+    monkeypatch.setattr(tableaux, "score_strip", skewed)
+    with pytest.raises(ValueError, match="negative t"):
+        corollary_rhs((1, 0), 2)
+
+
+@pytest.mark.parametrize(
+    "mu", [(2, 2), (3, 2), (2, 1, 1), (2, 2, 2), upsilon((3, 2)), upsilon((2, 1, 1))],
+    ids=str,
+)
+def test_run_components_match_search(mu):
+    # The circle conditions characterize the circle subset on doubled tops
+    # (mu_j even for j < r) only, so (3, 2) and (2, 1, 1) are compared there
+    # through their doubled images.
+    doubled = all(m % 2 == 0 for m in mu[:-1])
+    for p in enumerate_strict(mu):
+        s = from_gt(p)
+        for m, st in enumerate(symbol_strips(s), 1):
+            assert st.con_u == len(s.components(unbarred(m)))
+            assert st.con_b == len(s.components(barred(m)))
+        if doubled:
+            assert in_st_circle(s) == in_gt_circle(p)
