@@ -43,6 +43,12 @@ JOBS += [
     ("prop3", ["--lambda", "1,1,1"]),
     ("gh", ["--lambda", "2,1,1"]),
     ("prop3", ["--lambda", "2,1,1"]),
+    ("gh", lambda_args((0, 0, 0, 0))),  # the rank-4 bridges
+    ("gh", lambda_args((1, 0, 0, 0))),
+    ("gh", lambda_args((0, 0, 0, 1))),
+    ("prop3", lambda_args((0, 0, 0, 0))),
+    ("prop3", lambda_args((1, 0, 0, 0))),
+    ("prop3", lambda_args((0, 0, 0, 1))),
     ("prop4", ["--rank", "2", "--mu", "2,2", "--p", "3", "--dmax", "3"]),
     ("prop4", ["--rank", "3", "--mu", "2,1,2", "--p", "3", "--dmax", "2",
                "--budget", "300000"]),

@@ -92,19 +92,12 @@ def _verify_corollary2(args) -> Report:
     return rep
 
 
-def _verify_prop3(args) -> Report:
-    lam, _ = _dominant_lambda(args, "prop3")
-    res = whittaker.prop3_check(lam)
-    rep = Report("prop3", {"lambda": list(lam)})
-    rep.counts = {"checked": res.checked}
-    rep.mismatches = res.mismatches
-    return rep
-
-
-def _verify_gh(args) -> Report:
-    lam, _ = _dominant_lambda(args, "gh")
-    res = whittaker.gh_check(lam)
-    rep = Report("gh", {"lambda": list(lam)})
+def _verify_bridge(args) -> Report:
+    """gh or prop3: one side of Theorem 1 at t = -1/q against H(p^k; p^lambda)."""
+    lam, _ = _dominant_lambda(args, args.claim)
+    check = whittaker.gh_check if args.claim == "gh" else whittaker.prop3_check
+    res = check(lam)
+    rep = Report(args.claim, {"lambda": list(lam)})
     rep.counts = {"checked": res.checked}
     rep.mismatches = res.mismatches
     return rep
@@ -248,11 +241,11 @@ def _verify_lemma10(args) -> Report:
 _VERIFIERS = {
     "theorem1": _verify_theorem1,
     "corollary2": _verify_corollary2,
-    "prop3": _verify_prop3,
+    "prop3": _verify_bridge,
     "prop4": _verify_prop4,
     "prop5": _verify_prop5,
     "prop6": _verify_prop6,
-    "gh": _verify_gh,
+    "gh": _verify_bridge,
     "lemma3": _verify_lemma3,
     "lemma10-equiv": _verify_lemma10,
 }
@@ -410,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--kmax", type=int, default=None)
     v.add_argument("--budget", type=int, default=padic.DEFAULT_BUDGET)
     v.add_argument("--timing", action="store_true")
-    v.add_argument("--format", choices=("json", "text"), default="json")
 
     e = sub.add_parser("enumerate", help="stream combinatorial objects")
     e.add_argument("kind", choices=("gt", "tableaux", "omega", "cq"))
@@ -444,12 +436,7 @@ def main(argv=None) -> int:
             if args.timing:
                 report.runtime_ms = round(1000 * (time.monotonic() - start), 3)
             code = 0 if report.verdict == "pass" else 1
-            if args.format == "text":
-                print(f"{report.claim}: {report.verdict}")
-                for m in report.mismatches[:20]:
-                    print("  mismatch:", m)
-            else:
-                print(report.to_json())
+            print(report.to_json())
         elif args.command == "enumerate":
             _enumerate(args)
         else:

@@ -36,7 +36,7 @@ from math import comb
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, Monomial
-from .rootdata import upsilon
+from .rootdata import dominant, upsilon
 
 MAXIMAL = "maximal"
 MINIMAL = "minimal"
@@ -130,7 +130,7 @@ class GTPattern:
 
     def c_stat(self, kind: str, i: int, j: int) -> int:
         """The accumulation statistic attached to an entry; empty sums are 0."""
-        return self.slices[i - 1].c_stat(kind, 1, j - i + 1)
+        return self.slices[i - 1].c_stat(kind, j - i + 1)
 
     def stats(self) -> "PatternStats":
         return PatternStats(*map(sum, zip(*(s.stats() for s in self.slices))))
@@ -227,11 +227,7 @@ class ShortGTPattern:
             _even=even,
         )
 
-    def classify(self) -> dict:
-        return {(kind, 1, j): cls for (kind, j), (cls, _) in self.entries.items()}
-
-    def c_stat(self, kind: str, i: int, j: int) -> int:
-        assert i == 1
+    def c_stat(self, kind: str, j: int) -> int:
         if kind not in ("a", "b"):
             raise ValueError(kind)
         return self.entries[(kind, j)][1]
@@ -365,7 +361,7 @@ def _is_doubled(top) -> bool:
     return all((top[k] - top[k + 1]) % 2 == 0 for k in range(len(top) - 1))
 
 
-def in_gt_circle(p: GTPattern, cross_check: bool = True) -> bool:
+def in_gt_circle(p: GTPattern) -> bool:
     """Circle-subset membership via the statistic-parity definition.
 
     When the top row comes from a doubled vector (all mu_j even for j < r)
@@ -373,7 +369,7 @@ def in_gt_circle(p: GTPattern, cross_check: bool = True) -> bool:
     failure.  Outside that family only the parity definition applies.
     """
     value = gt_circle_by_cstat(p)
-    if cross_check and _is_doubled(p.arows[0]):
+    if _is_doubled(p.arows[0]):
         alt = gt_circle_by_row_parity(p)
         if alt != value:
             raise RuntimeError(
@@ -519,17 +515,15 @@ def tokuyama_rhs(lam, r: int = None) -> LaurentPoly:
 
     Summed from circle_sum, so the evenness of max1 is asserted on every
     contributing pattern and the two circle characterizations are
-    cross-checked on all of them.
+    cross-checked on all of them.  lam must be dominant of rank r.
     """
-    lam = tuple(lam)
-    if r is None:
-        r = len(lam)
+    lam = dominant(lam, r)
     mu = tuple(l + 1 for l in lam)
     terms = {}
     for (wt, nmax, max1, gen), count in circle_sum(upsilon(mu)).items():
         zexp = tuple(-w for w in wt)  # doubled exponent of -wt/2
         add_g_terms(terms, zexp, count, nmax, max1, gen)
-    return LaurentPoly._make(terms, r)
+    return LaurentPoly._make(terms, len(lam))
 
 
 # -- splitting ---------------------------------------------------------------

@@ -383,9 +383,6 @@ class LaurentPoly:
     def leading(self) -> Monomial:
         return max(self.terms)
 
-    def trailing(self) -> Monomial:
-        return min(self.terms)
-
     # -- division ----------------------------------------------------------
 
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
@@ -393,8 +390,8 @@ class LaurentPoly:
 
         Greedy leading-term cancellation in the lexicographic order.  Newton
         polytope bounds on the quotient guarantee termination: every quotient
-        monomial must lie, coordinate by coordinate, between trailing(a) -
-        trailing(b) and leading(a) - leading(b).
+        exponent must lie, coordinate by coordinate, between the least
+        exponent of a minus that of b and the greatest of a minus that of b.
         """
         self._check_rank(divisor)
         if not divisor:

@@ -80,7 +80,6 @@ class DecoratedArray:
     entries: tuple
     boxed: tuple
     circled: tuple
-    flavor: str  # "B" or "C"
 
 
 def gamma(boxed: bool, circled: bool) -> LaurentPoly:
@@ -172,14 +171,15 @@ def decorate_B(t: ShortPatternB) -> DecoratedArray:
         else:
             j = 2 * r - i  # 1 <= j <= r-2
             boxed.append(d[i] == mu[j + 1] + d[j] - d[j + 1])
-    return DecoratedArray(tuple(entries), tuple(boxed), tuple(circled), "B")
+    return DecoratedArray(tuple(entries), tuple(boxed), tuple(circled))
 
 
-def _gamma_product(flags) -> LaurentPoly:
-    """Product of gamma(boxed, circled) over (boxed, circled) pairs."""
+def _gamma_product(flags, weight=gamma) -> LaurentPoly:
+    """Product of weight(*f) over the flag tuples f: gamma over (boxed,
+    circled) pairs by default; stops at the first zero factor."""
     out = _ONE
-    for b, c in flags:
-        out = out * gamma(b, c)
+    for f in flags:
+        out = out * weight(*f)
         if not out:
             return _Q0
     return out
@@ -431,7 +431,7 @@ def decorate_C_literal(d, muprime) -> DecoratedArray:
     for j in range(r - 1, 0, -1):  # positions cbar_{r-1} .. cbar_1
         boxed.append(dd[j + 1] == mu[j + 1] + dd[j] - dd[2 * r - j])
         circled.append(dd[2 * r - j] == 0)
-    return DecoratedArray(entries, tuple(boxed), tuple(circled), "C")
+    return DecoratedArray(entries, tuple(boxed), tuple(circled))
 
 
 def short_pattern_of(d, muprime) -> ShortGTPattern:
@@ -477,19 +477,14 @@ def decorate_C_pullback(d, muprime) -> DecoratedArray:
         )
     # Parity dictionary: entry parities match the pattern statistics.
     for j in range(1, r + 1):
-        assert (p1.c_stat("b", 1, j) - entries[j - 1]) % 2 == 0
+        assert (p1.c_stat("b", j) - entries[j - 1]) % 2 == 0
     for j in range(1, r):
-        assert p1.c_stat("a", 1, j + 1) == entries[2 * r - 1 - j]
-    return DecoratedArray(entries, tuple(boxed), tuple(circled), "C")
+        assert p1.c_stat("a", j + 1) == entries[2 * r - 1 - j]
+    return DecoratedArray(entries, tuple(boxed), tuple(circled))
 
 
 def g_delta_C(arr: DecoratedArray) -> LaurentPoly:
-    out = _ONE
-    for e, b, c in zip(arr.entries, arr.boxed, arr.circled):
-        out = out * gamma_tilde(b, c, e)
-        if not out:
-            return _Q0
-    return out
+    return _gamma_product(zip(arr.boxed, arr.circled, arr.entries), gamma_tilde)
 
 
 def k_vector_C(d, r: int) -> tuple:

@@ -169,18 +169,25 @@ def _character_cached(lam: tuple, r: int) -> LaurentPoly:
     return weyl_numerator(nu, r).div_exact(weyl_numerator(rho(r), r))
 
 
+def dominant(lam, r: int = None) -> tuple:
+    """lam as a tuple, checked to be a dominant weight of rank r (default
+    len(lam)): nonnegative fundamental-weight coordinates, r of them."""
+    lam = tuple(lam)
+    if r is not None and len(lam) != r:
+        raise ValueError("length of lambda must equal the rank")
+    if any(l < 0 for l in lam):
+        raise ValueError("lambda must be dominant (nonnegative coordinates)")
+    return lam
+
+
 def character(lam, r: int = None) -> LaurentPoly:
     """Character of the irreducible Spin(2r+1) highest-weight representation.
 
     lam is given in the fundamental-weight basis (nonnegative integers).
     Computed as the exact quotient N(lam + rho) / N(rho).
     """
-    lam = tuple(lam)
-    if r is None:
-        r = len(lam)
-    if any(l < 0 for l in lam):
-        raise ValueError("lambda must be dominant (nonnegative coordinates)")
-    return _character_cached(lam, r)
+    lam = dominant(lam, r)
+    return _character_cached(lam, len(lam))
 
 
 def weyl_dimension(lam, r: int = None) -> int:

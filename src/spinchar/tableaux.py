@@ -42,7 +42,7 @@ from .gtpatterns import (
     GTPattern, add_weight_terms, enumerate_strict, slice_walk, top_row,
 )
 from .laurent import LaurentPoly
-from .rootdata import upsilon
+from .rootdata import dominant, upsilon
 
 
 def barred(m: int) -> int:
@@ -289,16 +289,14 @@ def in_st_circle(s: Tableau) -> bool:
     return all(st.in_circle for st in symbol_strips(s))
 
 
-def statistics(s: Tableau, partial: bool = False) -> TableauStats:
-    """All tableau statistics; the row statistic l needs a circle member.
-
-    With ``partial`` the l-values come back as None instead of raising when
-    some symbol has several odd-count rows (tableau outside the circle).
-    """
-    return _statistics(symbol_strips(s), partial)
+def statistics(s: Tableau) -> TableauStats:
+    """All tableau statistics; the row statistic l needs a circle member."""
+    return _statistics(symbol_strips(s), partial=False)
 
 
 def _statistics(strips: tuple, partial: bool) -> TableauStats:
+    """With ``partial`` the l-values come back as None instead of raising
+    when some symbol has several odd-count rows (outside the circle)."""
     x, xbar, row_u, row_b, con_u, con_b, l_values, _ = zip(*strips)
     wt = tuple(a - b for a, b in zip(reversed(x), reversed(xbar)))
     hgtbar = sum(row_b) - sum(con_b) - sum(row_u)
@@ -355,26 +353,22 @@ def corollary_rhs(lam, r: int = None) -> LaurentPoly:
     A transfer over chains of shifted shapes (the a-rows of the pattern
     bijection): each strip between consecutive shapes is scored once by
     score_strip, and its shares of wt, t, the sign and str are summed along
-    the chain by gtpatterns.slice_walk.
+    the chain by gtpatterns.slice_walk.  lam must be dominant of rank r.
     """
-    lam = tuple(lam)
-    if r is None:
-        r = len(lam)
+    lam = dominant(lam, r)
     top = top_row(upsilon(tuple(l + 1 for l in lam)))
     terms = {}
     chains = slice_walk(top, _strip_key, _join_strip_keys, ((), 0, 0, 0))
     for (wt, t, l_parity, str_total), count in chains.items():
         _add_term(terms, len(top), wt, l_parity, t, str_total, count)
-    return LaurentPoly._make(terms, r)
+    return LaurentPoly._make(terms, len(lam))
 
 
 def _corollary_rhs_by_enumeration(lam, r: int = None) -> LaurentPoly:
     """corollary_rhs by enumerating every pattern and tableau (the oracle)."""
-    lam = tuple(lam)
-    if r is None:
-        r = len(lam)
+    lam = dominant(lam, r)
     mu = tuple(l + 1 for l in lam)
-    total = LaurentPoly.zero(r)
+    total = LaurentPoly.zero(len(lam))
     for p in enumerate_strict(upsilon(mu)):
         s = from_gt(p)
         if not in_st_circle(s):

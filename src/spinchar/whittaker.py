@@ -14,10 +14,12 @@ decorated sums vanish otherwise.  Layers whose shifted weight would leave
 the dominant cone contribute nothing; any such nonzero layer is recorded in
 NEGATIVE_NU_EVENTS (none are expected).
 
-The checks gh and prop3 tie H to the circle-pattern sums and to the
-expanded D(z; -1/q) chi_lambda; both index by k through the one map
-_k_of_z / _z_of_k between k and the doubled z-exponent (= minus the
-pattern weight).
+The two coefficient bridges read H off the two sides of the deformed
+denominator identity at t = -1/q: prop3 off D(z; -1/q) chi_lambda, gh off
+the circle-pattern sum tokuyama_rhs(lambda).  Both are one check, _bridge,
+which splits a (z, q) polynomial by k through the one map _k_of_z / _z_of_k
+between k and the doubled z-exponent (= minus the pattern weight), compares
+each part with the flat coefficient and rebuilds the polynomial from them.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .gtpatterns import add_g_terms, circle_sum, top_row
+from .gtpatterns import tokuyama_rhs, top_row
 from .laurent import LaurentPoly, Monomial
 from .padic import cqc_layer_sums
-from .rootdata import upsilon
+from .rootdata import character, deformed_denominator, upsilon
 
 _Q0 = LaurentPoly.zero(0)
 
@@ -160,84 +162,26 @@ class CheckResult:
         return not self.mismatches
 
 
-def circle_buckets(mu) -> dict:
-    """{wt: sum of G(P) over the circle patterns P of top parameter mu with
-    wt(P) = wt}, each a polynomial in t alone; summed from circle_sum."""
-    parts: dict = {}
-    for (wt, nmax, max1, gen), count in circle_sum(mu).items():
-        add_g_terms(parts.setdefault(wt, {}), (), count, nmax, max1, gen)
-    return {wt: LaurentPoly._make(terms, 0) for wt, terms in parts.items()}
+def _at_minus_qinv(poly: LaurentPoly) -> LaurentPoly:
+    """poly with t = -1/q."""
+    return poly.substitute({"t": LaurentPoly.monomial(poly.rank, qexp=-1, coef=-1)})
 
 
-def gh_check(lam, r: int = None) -> CheckResult:
-    """Flat coefficients against the circle-subset sums at t = -1/q.
+def _bridge(claim: str, lam: tuple, poly: LaurentPoly) -> CheckResult:
+    """A rank-r (z, q) polynomial against the flat coefficients, split by k.
 
-    For every k in the union of both supports, the sum of G(P) over
-    patterns with wt_i(P) = a_{0,i} + 2 k_{i-1} - 2 k_i must equal
-    q^(-sum k) H(p^k); a shell outside the supports must vanish on both
-    sides.
+    Each z-monomial of ``poly`` must carry a k (by _k_of_z), and its
+    q-coefficient must be q^(-sum k) H(p^k; p^lam), for every k in either
+    support; the flat coefficients put back at their monomials must also
+    rebuild ``poly`` exactly.
     """
-    lam = tuple(lam)
-    if r is None:
-        r = len(lam)
-    mu = tuple(l + 1 for l in lam)
-    a0 = top_row(upsilon(mu))
-    result = CheckResult("gh", {"lambda": list(lam), "rank": r})
+    r = len(lam)
+    a0 = top_row(upsilon(tuple(l + 1 for l in lam)))
+    result = CheckResult(claim, {"lambda": list(lam), "rank": r})
 
-    buckets = circle_buckets(upsilon(mu))
-    minus_qinv = LaurentPoly.monomial(0, qexp=-1, coef=-1)
-
-    def gt_side(k):
-        poly = buckets.get(tuple(-x for x in _z_of_k(a0, k)))
-        return poly.substitute({"t": minus_qinv}) if poly is not None else _Q0
-
-    domain = set(h_support(lam))
-    for wt in buckets:
-        k = _k_of_z(a0, tuple(-x for x in wt))
-        if k is None:
-            result.mismatches.append({"wt": list(wt), "error": "no matching k"})
-            continue
-        domain.add(k)
-    for k in sorted(domain):
-        lhs = h_flat(k, lam)
-        rhs = gt_side(k)
-        result.checked += 1
-        if lhs != rhs:
-            result.mismatches.append(
-                {"k": list(k), "h_flat": str(lhs), "gt_sum": str(rhs)}
-            )
-    kmax = max(k[0] for k in domain), max(k[-1] for k in domain)
-    shell = ((kmax[0] + 1,) + (kmax[0] + 1 + sum(a0),) * (r - 1),
-             tuple(sum(a0) + i + 1 for i in range(r)))
-    for k in shell:
-        if h_flat(k, lam) or gt_side(k):
-            result.mismatches.append({"k": list(k), "error": "nonzero outside box"})
-        result.checked += 1
-    return result
-
-
-def prop3_check(lam, r: int = None) -> CheckResult:
-    """Deformed denominator times character against the flat coefficients.
-
-    Expands D(z; -1/q) chi(z) exactly and reads off each z-monomial, whose
-    coefficient must be q^(-sum k) H(p^k); the reconstruction must also
-    exhaust the product's support.
-    """
-    from .rootdata import character, deformed_denominator
-
-    lam = tuple(lam)
-    if r is None:
-        r = len(lam)
-    mu = tuple(l + 1 for l in lam)
-    a0 = top_row(upsilon(mu))
-    result = CheckResult("prop3", {"lambda": list(lam), "rank": r})
-
-    tsub = LaurentPoly.monomial(r, qexp=-1, coef=-1)
-    lhs = deformed_denominator(r).substitute({"t": tsub}) * character(lam, r)
-
-    # The product split by k: each part keeps its (t, q) exponents only.
+    # The polynomial split by k: each part keeps its (t, q) exponents only.
     parts = {}
-    for mono, coef in lhs.terms.items():
+    for mono, coef in poly.terms.items():
         k = _k_of_z(a0, mono.z)
         if k is None:
             result.mismatches.append(
@@ -256,7 +200,22 @@ def prop3_check(lam, r: int = None) -> CheckResult:
                 {"k": list(k), "coefficient": str(coeff), "h_flat": str(hval)}
             )
         recon.update(hval.shift(Monomial(_z_of_k(a0, k), 0, 0)).terms)
-    if LaurentPoly._make(recon, r) != lhs:
-        result.mismatches.append({"error": "reconstruction differs from the product"})
+    if LaurentPoly._make(recon, r) != poly:
+        result.mismatches.append({"error": "reconstruction differs from the polynomial"})
     result.checked += 1
     return result
+
+
+def gh_check(lam) -> CheckResult:
+    """The circle-pattern sum (tokuyama_rhs) at t = -1/q against the flat
+    coefficients: the patterns of weight -z(k) sum to q^(-sum k) H(p^k)."""
+    lam = tuple(lam)
+    return _bridge("gh", lam, _at_minus_qinv(tokuyama_rhs(lam)))
+
+
+def prop3_check(lam) -> CheckResult:
+    """D(z; -1/q) chi_lam(z), expanded exactly, against the flat coefficients."""
+    lam = tuple(lam)
+    r = len(lam)
+    product = _at_minus_qinv(deformed_denominator(r)) * character(lam, r)
+    return _bridge("prop3", lam, product)

@@ -7,7 +7,6 @@ from spinchar.gtpatterns import (
     GTPattern,
     PatternStats,
     ShortGTPattern,
-    _g_from_stats,
     circle_sum,
     enumerate_circle,
     enumerate_short,
@@ -31,7 +30,6 @@ from spinchar.rootdata import (
     upsilon,
     weyl_numerator,
 )
-from spinchar.whittaker import circle_buckets
 from tests.test_acceptance import THEOREM1_CASES
 
 # the running example: rank 5, top parameter (2,2,4,2,1)
@@ -129,22 +127,19 @@ def test_max1_even_on_circle():
 
 @pytest.mark.parametrize("lam", [lam for lam, _ in THEOREM1_CASES], ids=str)
 def test_circle_sum_matches_enumeration(lam):
-    # the slice transfer against the enumeration oracle, on all three sums
-    # built from it: the statistics tally, the pattern side and the buckets
+    # the slice transfer against the enumeration oracle: the statistics
+    # tally and the pattern side built from it
     top = upsilon(tuple(l + 1 for l in lam))
     tally = Counter()
     terms = {}
-    buckets = {}
     for p in enumerate_circle(top):
         st, wt = p.stats(), p.wt()
         tally[(wt, st.max, st.max1, st.gen)] += 1
         for mono, c in g_weight(p).terms.items():
             key = Monomial(tuple(-w for w in wt), mono.t, 0)
             terms[key] = terms.get(key, 0) + c
-        buckets[wt] = buckets.get(wt, LaurentPoly.zero(0)) + _g_from_stats(st, 0)
     assert circle_sum(top) == dict(tally)
     assert tokuyama_rhs(lam) == LaurentPoly(terms, len(lam))
-    assert circle_buckets(top) == buckets
 
 
 @pytest.mark.parametrize("verdict", [False, True])

@@ -160,6 +160,22 @@ def test_strip_transfer_matches_pattern_sum(lam, r):
     assert corollary_rhs(lam, r) == tokuyama_rhs(lam, r)
 
 
+@pytest.mark.parametrize(
+    "side", [tokuyama_rhs, corollary_rhs, _corollary_rhs_by_enumeration]
+)
+@pytest.mark.parametrize(
+    "lam, r",
+    [((0, -1), None), ((1, -1), None), ((0, 0, -1), None), ((-1,), 1),
+     ((1, 0), 3), ((1, 0, 0), 2)],
+    ids=str,
+)
+def test_both_sides_reject_a_weight_off_the_cone_or_rank(side, lam, r):
+    # a negative entry, or a rank other than len(lambda), is not a weight
+    # either sum is defined on: both raise instead of returning a polynomial
+    with pytest.raises(ValueError):
+        side(lam, r)
+
+
 def test_strip_transfer_uses_no_pattern_statistics(monkeypatch):
     expected = {lam: corollary_rhs(lam, 3) for lam in [(0, 0, 1), (1, 1, 0)]}
 

@@ -3,9 +3,10 @@ import itertools
 from fractions import Fraction
 
 from spinchar import whittaker
-from spinchar.laurent import LaurentPoly
+from spinchar.gtpatterns import top_row
+from spinchar.laurent import LaurentPoly, Monomial
 from spinchar.padic import cqc_layer_sums
-from spinchar.rootdata import upsilon
+from spinchar.rootdata import character, deformed_denominator, upsilon
 from spinchar.whittaker import (
     NEGATIVE_NU_EVENTS,
     gh_check,
@@ -123,3 +124,26 @@ def test_bridges_report_a_skewed_coefficient(monkeypatch):
         res = check(lam)
         assert not res.ok
         assert [m for m in res.mismatches if m.get("k") == list(bad)], check
+
+
+def test_bridge_reports_a_stray_monomial_and_a_wrong_coefficient():
+    # _bridge on D(z; -1/q) chi_lam, correct as it stands, then spoiled twice
+    lam = (1, 2)
+    a0 = top_row(upsilon((2, 3)))
+    tsub = LaurentPoly.monomial(2, qexp=-1, coef=-1)
+    poly = deformed_denominator(2).substitute({"t": tsub}) * character(lam)
+    assert whittaker._bridge("prop3", lam, poly).ok
+
+    # z_1 one half-step off every k: no k carries the monomial
+    stray = LaurentPoly({Monomial((1 - a0[0], -a0[1]), 0, 0): 1}, 2)
+    res = whittaker._bridge("prop3", lam, poly + stray)
+    assert {m.get("error") for m in res.mismatches} == {
+        "no matching k index", "reconstruction differs from the polynomial"
+    }
+
+    # the constant term at one k of the support raised by 1
+    k = sorted(h_support(lam))[1]
+    off = LaurentPoly({Monomial(whittaker._z_of_k(a0, k), 0, 0): 1}, 2)
+    res = whittaker._bridge("prop3", lam, poly + off)
+    assert [m["k"] for m in res.mismatches if "k" in m] == [list(k)]
+    assert {"error": "reconstruction differs from the polynomial"} in res.mismatches
