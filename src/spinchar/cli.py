@@ -45,6 +45,18 @@ def _dominant_lambda(args, claim: str) -> tuple:
     return lam, r
 
 
+def _mu(args, least: int = 1, least_rank: int = 2) -> tuple:
+    """--mu with entries >= ``least`` and rank >= ``least_rank``, which
+    --rank must match."""
+    mu = _parse_ints(args.mu)
+    r = args.rank if args.rank is not None else len(mu)
+    if len(mu) != r or r < least_rank or any(m < least for m in mu):
+        rank = f"rank >= {least_rank} and " if least_rank > 1 else ""
+        sign = "positive" if least > 0 else "nonnegative"
+        raise UsageError(f"{args.claim} needs {rank}{sign} --mu")
+    return mu
+
+
 def _prime(args) -> int:
     """--p, default 3; the oracle sums need a prime."""
     p = 3 if args.p is None else args.p
@@ -104,10 +116,8 @@ def _verify_bridge(args) -> Report:
 
 
 def _verify_prop4(args) -> Report:
-    mu = _parse_ints(args.mu)
-    r = args.rank if args.rank is not None else len(mu)
-    if len(mu) != r or r < 2 or any(m < 1 for m in mu):
-        raise UsageError("prop4 needs rank >= 2 and positive --mu")
+    mu = _mu(args)
+    r = len(mu)
     p = _prime(args)
     dmax = _at_least(args.dmax, "--dmax")
     budget = _at_least(args.budget, "--budget", 1)
@@ -145,9 +155,7 @@ def _verify_prop4(args) -> Report:
 
 
 def _verify_prop5(args) -> Report:
-    mu = _parse_ints(args.mu)
-    if len(mu) < 2 or any(m < 1 for m in mu):
-        raise UsageError("prop5 needs rank >= 2 and positive --mu")
+    mu = _mu(args)
     kmax = _at_least(args.kmax, "--kmax")
     if kmax is None:
         kmax = mu[-1] + 2 * sum(mu[:-1]) + 2
@@ -169,9 +177,7 @@ def _verify_prop5(args) -> Report:
 
 
 def _verify_prop6(args) -> Report:
-    mu = _parse_ints(args.mu)
-    if len(mu) < 2 or any(m < 1 for m in mu):
-        raise UsageError("prop6 needs rank >= 2 and positive --mu")
+    mu = _mu(args)
     p = _prime(args)
     kmax = _at_least(args.kmax, "--kmax")
     budget = _at_least(args.budget, "--budget", 1)
@@ -200,9 +206,7 @@ def _verify_prop6(args) -> Report:
 
 
 def _verify_lemma3(args) -> Report:
-    mu = _parse_ints(args.mu)
-    if any(m < 1 for m in mu):
-        raise UsageError("lemma3 needs positive --mu")
+    mu = _mu(args, least_rank=1)
     rep = Report("lemma3", {"mu": list(mu)})
     n = 0
     for s in padic.omega_sets(mu, "<="):
@@ -220,9 +224,7 @@ def _verify_lemma3(args) -> Report:
 
 
 def _verify_lemma10(args) -> Report:
-    mu = _parse_ints(args.mu)
-    if any(m < 0 for m in mu) or (len(mu) and mu[-1] < 0):
-        raise UsageError("lemma10-equiv needs nonnegative --mu")
+    mu = _mu(args, least=0, least_rank=1)
     mup = rootdata.upsilon(mu)
     rep = Report("lemma10-equiv", {"mu": list(mu), "top_parameter": list(mup)})
     n = 0

@@ -54,6 +54,11 @@ def top_row(mu) -> tuple:
     return tuple(reversed(out))
 
 
+def _strictly_decreasing(row) -> bool:
+    """Whether every entry of the row exceeds the next."""
+    return all(row[k] > row[k + 1] for k in range(len(row) - 1))
+
+
 def mu_of_top_row(row) -> tuple:
     row = tuple(row)
     return tuple(
@@ -93,9 +98,7 @@ class GTPattern:
             assert len(self.brows[i]) == r - i
         for row in self.rows():
             assert all(x >= 0 for x in row)
-            assert all(row[k] > row[k + 1] for k in range(len(row) - 1)), (
-                "rows must strictly decrease"
-            )
+            assert _strictly_decreasing(row), "rows must strictly decrease"
         for i in range(1, r):
             assert self.a(i, r) >= 1, "a-rows below the top must end positively"
         for i in range(1, r + 1):
@@ -239,15 +242,13 @@ class ShortGTPattern:
         """Every generic entry has an even statistic."""
         return self._even
 
-    def in_circle_by_row_parity(self, ref: int = None) -> bool:
+    def in_circle_by_row_parity(self, ref: int) -> bool:
         """The slice's share of the row-parity characterization.
 
-        With parity reference ``ref`` (default a_{0,r} mod 2, the pattern's
-        mu_r): every a_1 entry has that parity, and b_1 has at most one
-        entry b_{1,j0} off it, right of which b_{1,j} = a_{1,j} = a_{0,j}.
+        With parity reference ``ref`` (the pattern's mu_r = a_{0,r} mod 2):
+        every a_1 entry has that parity, and b_1 has at most one entry
+        b_{1,j0} off it, right of which b_{1,j} = a_{1,j} = a_{0,j}.
         """
-        if ref is None:
-            ref = self.a0[-1] % 2
         a0, b1, a1 = self.a0, self.b1, self.a1
         if any(v % 2 != ref for v in a1):
             return False
@@ -307,7 +308,7 @@ def enumerate_strict(mu):
     mu = tuple(mu)
     r = len(mu)
     top = top_row(mu)
-    if any(top[k] <= top[k + 1] for k in range(r - 1)):
+    if not _strictly_decreasing(top):
         return
 
     def rec(rows_a, rows_b, upper, next_is_b):
@@ -330,7 +331,7 @@ def enumerate_short(muprime):
     muprime = tuple(muprime)
     r = len(muprime)
     top = top_row(muprime)
-    if any(top[k] <= top[k + 1] for k in range(r - 1)):
+    if not _strictly_decreasing(top):
         return
     for b1 in _interleavings(top, r):
         for a1 in _interleavings(b1, r - 1, last_floor=1):
@@ -398,7 +399,7 @@ def slice_walk(top, score, join, leaf) -> dict:
     result is empty) when the top row is not strictly decreasing.
     """
     top = tuple(top)
-    if any(top[k] <= top[k + 1] for k in range(len(top) - 1)):
+    if not _strictly_decreasing(top):
         return {}
     memo = {(): {leaf: 1}}
 

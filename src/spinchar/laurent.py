@@ -477,18 +477,18 @@ class LaurentPoly:
         return Fraction(rn, rd) ** twice_exp
 
     def substitute(self, bindings: Mapping[str, Union[int, Fraction, "LaurentPoly"]]) -> "LaurentPoly":
-        """Exact substitution of variables by rationals or polynomials.
+        """Exact substitution of variables by rationals or single-term polynomials.
 
         Keys are variable names ("z1", ..., "t", "q").  A variable appearing
         with half-integer exponents needs a binding with an exact square root
         (a square rational, or a single-term square monomial).  Raises
-        SubstitutionError if the result would have fractional coefficients.
+        SubstitutionError on a polynomial binding of more than one term, or
+        if the result would have fractional coefficients.
         """
         names = list(bindings)
         acc: dict = {}
         for mono, coef in self.terms.items():
             rat = Fraction(coef)
-            poly_factor = None  # deferred, most substitutions are monomial-like
             zrem, trem, qrem = list(mono.z), mono.t, mono.q
             for name in names:
                 twice_exp = self._var_exponent(mono, name)
@@ -504,43 +504,33 @@ class LaurentPoly:
                 if isinstance(value, LaurentPoly):
                     if value.rank != self.rank:
                         raise RankMismatchError("binding rank mismatch")
-                    if len(value.terms) == 1:
-                        (bm, bc), = value.terms.items()
-                        rat *= self._rational_power(Fraction(bc), twice_exp)
-                        if twice_exp % 2 == 0:
-                            e = twice_exp // 2
-                        else:
-                            if any(x % 2 for x in bm.z) or bm.t % 2 or bm.q % 2:
-                                raise SubstitutionError(
-                                    "binding is not an exact square monomial"
-                                )
-                            bm = Monomial(
-                                tuple(x // 2 for x in bm.z), bm.t // 2, bm.q // 2
-                            )
-                            e = twice_exp
-                        for k in range(len(zrem)):
-                            zrem[k] += e * bm.z[k]
-                        trem += e * bm.t
-                        qrem += e * bm.q
-                        if trem < 0:
-                            raise SubstitutionError("negative t exponent produced")
+                    if len(value.terms) != 1:
+                        raise SubstitutionError(
+                            "a polynomial binding must be a single term"
+                        )
+                    (bm, bc), = value.terms.items()
+                    rat *= self._rational_power(Fraction(bc), twice_exp)
+                    if twice_exp % 2 == 0:
+                        e = twice_exp // 2
                     else:
-                        if twice_exp % 2 or twice_exp < 0:
+                        if any(x % 2 for x in bm.z) or bm.t % 2 or bm.q % 2:
                             raise SubstitutionError(
-                                "general polynomial binding needs a nonnegative "
-                                "integer exponent"
+                                "binding is not an exact square monomial"
                             )
-                        powed = value ** (twice_exp // 2)
-                        poly_factor = powed if poly_factor is None else poly_factor * powed
+                        bm = Monomial(
+                            tuple(x // 2 for x in bm.z), bm.t // 2, bm.q // 2
+                        )
+                        e = twice_exp
+                    for k in range(len(zrem)):
+                        zrem[k] += e * bm.z[k]
+                    trem += e * bm.t
+                    qrem += e * bm.q
+                    if trem < 0:
+                        raise SubstitutionError("negative t exponent produced")
                 else:
                     rat *= self._rational_power(Fraction(value), twice_exp)
             base = Monomial(tuple(zrem), trem, qrem)
-            if poly_factor is None:
-                key_terms = {base: 1}
-            else:
-                key_terms = {m.mul(base): c for m, c in poly_factor.terms.items()}
-            for key, mult in key_terms.items():
-                acc[key] = acc.get(key, Fraction(0)) + rat * mult
+            acc[base] = acc.get(base, Fraction(0)) + rat
         out = {}
         for key, val in acc.items():
             if val == 0:

@@ -5,8 +5,9 @@ attached to an r-tuple mu of positive integers (mu_i = m_i + 1).  The module
 provides
 
 * a brute-force oracle for the normalized character sum G(t), evaluated
-  exactly: the integer phases of its terms are counted and the count vector
-  is reduced by the cyclotomic relation to a rational number;
+  exactly: one table of the summand's terms gives the residue periods and
+  an integer phase grid, reduced mod p^cap once; the counts of its phases
+  are reduced by the cyclotomic relation to a rational number;
 * the decorated accumulation arrays of flavors B and C with their gamma and
   gamma-tilde weights, and the closed-form evaluation of G(t);
 * the totally resonant Omega machinery and the summation identities tying
@@ -235,20 +236,15 @@ def k_vector_B(t: ShortPatternB) -> tuple:
 
 
 def _inverse_table(p: int, f: int, dexp: int, shift: int = 0):
-    """(c, u) pairs for c over Z/p^f, unit when dexp > 0; u inverse mod p^dexp."""
-    mod = p**f
-    pairs = []
+    """Arrays (c, u): c over Z/p^f, units only when dexp > 0, and u the
+    inverse of c mod p^dexp plus shift * p^dexp (all 0 when dexp = 0)."""
+    c = np.arange(p**f, dtype=np.int64)
     if dexp == 0:
-        for c in range(mod):
-            pairs.append((c, 0))
-        return pairs
+        return c, np.zeros_like(c)
+    c = c[c % p != 0]
     pd = p**dexp
-    for c in range(mod):
-        if c % p == 0:
-            continue
-        u = pow(c, -1, pd) + shift * pd
-        pairs.append((c, u))
-    return pairs
+    u = [pow(int(x), -1, pd) + shift * pd for x in c]
+    return c, np.array(u, dtype=np.int64)
 
 
 def brute_force_G(
@@ -259,12 +255,17 @@ def brute_force_G(
 ) -> Fraction:
     """Literal evaluation of the normalized character sum at the prime p.
 
-    The sum over c_j mod p^{L_j} is collapsed, exactly, to the summand's
-    period p^{f_j}: f_j >= d_j keeps the canonical inverse u_j fixed and
-    f_j dominates every denominator exponent in which c_j appears.  The
-    weight prod p^{L_j - f_j} then cancels against the normalization,
-    leaving p^(-sum f_j) times the reduced sum, a sum of p^cap-th roots of
-    unity that _cyclotomic_sum evaluates exactly from the integer phases.
+    The summand is a table of 2r terms (j, o, a, k, b, pe, de), each the
+    phase k * c_j^a * u_o^b * p^pe / p^de (o = None for the lone c_1 term,
+    and o < j otherwise).  The sum over c_j mod p^{L_j} is collapsed,
+    exactly, to the summand's period p^{f_j}: f_j >= d_j keeps the canonical
+    inverse u_j fixed and f_j dominates every denominator exponent in which
+    c_j appears.  The weight prod p^{L_j - f_j} then cancels against the
+    normalization, leaving p^(-sum f_j) times the reduced sum, a sum of
+    p^cap-th roots of unity.  Its integer phases are added term by term on
+    an int64 grid over the residue tuples and reduced mod p^cap once (each
+    term is below p^cap <= 2^31), and _cyclotomic_sum evaluates the sum
+    exactly from them.
 
     u_shift replaces each u_j by u_j + u_shift * p^{d_j} (representative
     independence testing).
@@ -279,83 +280,61 @@ def brute_force_G(
     L = l_vector(t)
     n = 2 * r - 1
 
-    # Terms: (var_j, other_var_or_None, kind, numerator p-exponent, denom exp).
-    # kind: how (c, u) data of the two variables combine, see _term_value.
-    terms = []
-    terms.append(("c", 1, None, m[1], d[1]))
-    for j in range(2, r):
-        terms.append(("uc", j, j - 1, m[j], d[j]))
-    for j in range(1, r - 1):
-        terms.append(
-            ("neg_cu", 2 * r - j, 2 * r - j - 1, m[j + 1] + d[j], d[j + 1] + d[2 * r - j])
-        )
-    terms.append(("uuc", r, r - 1, m[r], d[r]))
-    terms.append(("2uc", r + 1, r - 1, m[r] + d[r - 1], d[r + 1] + d[r]))
-    terms.append(("ccu", r + 1, r, m[r] + 2 * d[r - 1], 2 * d[r + 1] + d[r]))
+    terms = [(1, None, 1, 1, 0, m[1], d[1])]  # c_1
+    for j in range(2, r):  # u_{j-1} c_j
+        terms.append((j, j - 1, 1, 1, 1, m[j], d[j]))
+    for j in range(1, r - 1):  # -u_{i-1} c_i with i = 2r - j
+        i = 2 * r - j
+        terms.append((i, i - 1, 1, -1, 1, m[j + 1] + d[j], d[j + 1] + d[i]))
+    # u_{r-1}^2 c_r, 2 u_{r-1} c_{r+1} and u_r c_{r+1}^2
+    terms += [
+        (r, r - 1, 1, 1, 2, m[r], d[r]),
+        (r + 1, r - 1, 1, 2, 1, m[r] + d[r - 1], d[r + 1] + d[r]),
+        (r + 1, r, 2, 1, 1, m[r] + 2 * d[r - 1], 2 * d[r + 1] + d[r]),
+    ]
 
-    need = [0] * (n + 1)  # max net denominator exponent per variable
-    for kind, j, _, pe, de in terms:
+    need = [0] * (n + 1)  # max net denominator exponent per variable c_j
+    for j, _, _, _, _, pe, de in terms:
         need[j] = max(need[j], de - pe)
-    f = [0] * (n + 1)
-    for j in range(1, n + 1):
-        f[j] = min(L[j - 1], max(d[j], need[j], 0))
+    f = [0] + [min(L[j - 1], max(d[j], need[j], 0)) for j in range(1, n + 1)]
 
     total_terms = 1
     for j in range(1, n + 1):
-        cnt = p ** f[j]
-        if d[j] > 0:
-            cnt -= p ** (f[j] - 1)
-        total_terms *= cnt
+        total_terms *= p ** f[j] - (p ** (f[j] - 1) if d[j] > 0 else 0)
     if total_terms > budget:
         raise BudgetExceededError(
             f"{total_terms} residue tuples exceed budget {budget}"
         )
 
-    cap = max(de for _, _, _, pe, de in terms)
+    cap = max(term[-1] for term in terms)
     big = p**cap
     if big > 2**31:  # keep int64 products safe
         raise BudgetExceededError("denominator too large for vectorized path")
 
-    tables = [None] + [_inverse_table(p, f[j], d[j], u_shift) for j in range(1, n + 1)]
-    cs = [None] + [
-        np.array([c for c, _ in tables[j]], dtype=np.int64) % big
-        for j in range(1, n + 1)
-    ]
-    us = [None] + [
-        np.array([u for _, u in tables[j]], dtype=np.int64) % big
-        for j in range(1, n + 1)
-    ]
-    sizes = [len(tables[j]) for j in range(1, n + 1)]
+    c, u = [None], [None]
+    for j in range(1, n + 1):
+        cj, uj = _inverse_table(p, f[j], d[j], u_shift)
+        c.append(cj % big)
+        u.append(uj % big)
+    sizes = [len(cj) for cj in c[1:]]
 
-    # Phase grid over all residue tuples; every term touches at most two
-    # variables, so it enters as a broadcast of a 1- or 2-dimensional array.
-    phase = np.zeros(tuple(sizes), dtype=np.int64)
-    for kind, j, o, pe, de in terms:
-        scale = (p ** (pe + cap - de)) % big
-        if scale == 0:
+    # Phase grid over all residue tuples.  Each factor is reduced below
+    # p^cap <= 2^31 before the next product, so products fit in int64, and
+    # the grid adds at most 2r terms, each below p^cap, before the single
+    # reduction at the end.
+    phase = np.zeros(sizes, dtype=np.int64)
+    for j, o, a, k, b, pe, de in terms:
+        coef = k * p ** (pe + cap - de) % big
+        if coef == 0:
             continue
-        if kind == "c":
-            val = cs[j] * scale % big
-            shape = [1] * n
-            shape[j - 1] = sizes[j - 1]
-            phase += val.reshape(shape)
-        else:
-            col = {"uc": cs[j], "neg_cu": cs[j],
-                   "uuc": cs[j], "2uc": cs[j],
-                   "ccu": cs[j] * cs[j] % big}[kind]
-            row = {"uc": us[o], "neg_cu": us[o],
-                   "uuc": us[o] * us[o] % big,
-                   "2uc": 2 * us[o] % big, "ccu": us[o]}[kind]
-            val = col[:, None] * row[None, :] % big * scale % big
-            if kind == "neg_cu":
-                val = (-val) % big
-            aj, ao = j - 1, o - 1
-            shape = [1] * n
-            shape[aj] = sizes[aj]
-            shape[ao] = sizes[ao]
-            flat = val if aj < ao else val.T
-            phase += np.ascontiguousarray(flat).reshape(shape)
-        phase %= big
+        val = c[j] ** a % big * coef % big
+        shape = [1] * n
+        shape[j - 1] = sizes[j - 1]
+        if o is not None:  # axes (o, j) are already in grid order
+            val = (u[o] ** b % big)[:, None] * val % big
+            shape[o - 1] = sizes[o - 1]
+        phase += val.reshape(shape)
+    phase %= big
 
     return Fraction(_cyclotomic_sum(phase.ravel(), p, cap), p ** sum(f[1:]))
 

@@ -138,6 +138,11 @@ def test_enumerate_cq_csv():
         ("verify", "prop4", "--mu", "2,2", "--dmax", "1", "--budget", "0"),
         ("verify", "nonsense"),
         ("verify", "prop6", "--mu", "2,2", "--k", "-1,0"),
+        ("verify", "prop4", "--mu", "2"),
+        ("verify", "prop5", "--mu", "2,0"),
+        ("verify", "lemma3", "--mu", "0,1"),
+        ("verify", "lemma10-equiv", "--mu", "2,-1"),
+        ("verify", "prop5", "--rank", "3", "--mu", "2,2"),
     ],
     ids=" ".join,
 )

@@ -92,6 +92,8 @@ def test_substitute_examples():
     assert qhalf.substitute({"q": 9}) == LaurentPoly.const(3, 1)
     with pytest.raises(SubstitutionError):
         qhalf.substitute({"q": 3})
+    with pytest.raises(SubstitutionError):  # bindings are numbers or single terms
+        tmax.substitute({"t": one_plus_t})
 
 
 def test_coefficient_of_examples():

@@ -140,18 +140,35 @@ def test_oracle_agreement_small():
 
 
 def test_oracle_is_exact():
-    for mu in itertools.product((1, 2), repeat=2):
-        for d in itertools.product(range(3), repeat=3):
-            t = ShortPatternB(mu, d)
-            if not preconditions_hold(t):
-                continue
-            cf = closed_form_G(t)
-            for p in (2, 3):
-                bf = brute_force_G(t, p, budget=200_000)
-                assert isinstance(bf, Fraction)
-                assert bf == (0 if cf is None else cf.evaluate({"q": p})), (mu, d, p)
-                for w in (1, 2):
-                    assert brute_force_G(t, p, budget=200_000, u_shift=w) == bf
+    grid = [
+        (itertools.product((1, 2), repeat=2), (2, 3)),
+        # rank 3 first has the u_{j-1} c_j and -c u terms
+        ([(1, 1, 1), (2, 1, 2)], (2, 3, 5)),
+    ]
+    decided = nonzero = 0  # rank-3 instances
+    for mus, primes in grid:
+        for mu in mus:
+            r = len(mu)
+            for d in itertools.product(range(3), repeat=2 * r - 1):
+                t = ShortPatternB(mu, d)
+                if not preconditions_hold(t):
+                    continue
+                cf = closed_form_G(t)
+                for p in primes:
+                    try:
+                        bf = brute_force_G(t, p, budget=200_000)
+                    except BudgetExceededError:
+                        assert r == 3
+                        continue
+                    assert isinstance(bf, Fraction)
+                    want = 0 if cf is None else cf.evaluate({"q": p})
+                    assert bf == want, (mu, d, p)
+                    for w in (1, 2):
+                        assert brute_force_G(t, p, budget=200_000, u_shift=w) == bf
+                    if r == 3:
+                        decided += 1
+                        nonzero += bf != 0
+    assert (decided, nonzero) == (353, 150)
 
 
 def test_cyclotomic_sum_rejects_irrational_counts():
