@@ -45,15 +45,18 @@ def _dominant_lambda(args, claim: str) -> tuple:
     return lam, r
 
 
-def _mu(args, least: int = 1, least_rank: int = 2) -> tuple:
-    """--mu with entries >= ``least`` and rank >= ``least_rank``, which
-    --rank must match."""
-    mu = _parse_ints(args.mu)
-    r = args.rank if args.rank is not None else len(mu)
+def _mu(args, least: int = 1, least_rank: int = 2, dest: str = "mu") -> tuple:
+    """--mu (or the flag of ``dest``) with entries >= ``least`` and rank >=
+    ``least_rank``, which --rank must match where the command has one."""
+    mu = _parse_ints(getattr(args, dest))
+    r = getattr(args, "rank", None)
+    if r is None:
+        r = len(mu)
     if len(mu) != r or r < least_rank or any(m < least for m in mu):
         rank = f"rank >= {least_rank} and " if least_rank > 1 else ""
         sign = "positive" if least > 0 else "nonnegative"
-        raise UsageError(f"{args.claim} needs {rank}{sign} --mu")
+        label = args.claim if args.command == "verify" else f"enumerate {args.kind}"
+        raise UsageError(f"{label} needs {rank}{sign} {_FLAGS[dest]}")
     return mu
 
 
@@ -165,13 +168,13 @@ def _verify_prop5(args) -> Report:
         lhs, rhs = padic.prop5_sides(mu, kr)
         if lhs != rhs:
             rep.mismatches.append({"k_r": kr, "lhs": str(lhs), "rhs": str(rhs)})
-        if args.q:
+        if args.q is not None:
             values.append(
-                [kr, str(lhs.evaluate({"q": Fraction(args.q)})),
-                 str(rhs.evaluate({"q": Fraction(args.q)}))]
+                [kr, str(lhs.evaluate({"q": args.q})),
+                 str(rhs.evaluate({"q": args.q}))]
             )
     rep.counts = {"checked": kmax + 1}
-    if args.q:
+    if args.q is not None:
         rep.counts["values_at_q"] = values
     return rep
 
@@ -259,19 +262,20 @@ _VERIFIERS = {
 def _enumerate(args) -> None:
     kind = args.kind
     out = sys.stdout
+    limit = _at_least(args.limit, "--limit", 1)
     if kind == "gt":
-        mu = _parse_ints(args.mu)
+        mu = _mu(args, least=0, least_rank=1)
         n = 0
         for p in gtpatterns.enumerate_strict(mu):
             if args.circle_only and not gtpatterns.in_gt_circle(p):
                 continue
             out.write(p.to_json() + "\n")
             n += 1
-            if args.limit and n >= args.limit:
+            if n == limit:
                 break
         return
     if kind == "tableaux":
-        mu = _parse_ints(args.mu)
+        mu = _mu(args, least=0, least_rank=1)
         n = 0
         for p in gtpatterns.enumerate_strict(mu):
             s = tableaux.from_gt(p)
@@ -279,11 +283,11 @@ def _enumerate(args) -> None:
                 continue
             out.write(tableaux.tableau_json(s) + "\n")
             n += 1
-            if args.limit and n >= args.limit:
+            if n == limit:
                 break
         return
     if kind == "omega":
-        mu = _parse_ints(args.mu)
+        mu = _mu(args, least=0, least_rank=1)
         if args.index is not None and not 1 <= args.index <= len(mu):
             raise UsageError(f"--index must lie in 1..{len(mu)}, got {args.index}")
         for t in padic.omega_sets(
@@ -292,7 +296,7 @@ def _enumerate(args) -> None:
             out.write(json.dumps({"d": list(t)}) + "\n")
         return
     if kind == "cq":
-        mup = _parse_ints(args.muprime)
+        mup = _mu(args, least=0, least_rank=1, dest="muprime")
         rows = []
         for d in padic.iter_cqc(mup):
             arr = padic.decorate_C_pullback(d, mup)
@@ -341,7 +345,10 @@ def _coeff(args) -> None:
         if "=" not in fix:
             raise UsageError("--fix expects VAR=EXPONENT, e.g. z2=11/2")
         name, _, value = fix.partition("=")
-        constraints[name.strip()] = Fraction(value.strip())
+        try:
+            constraints[name.strip()] = Fraction(value.strip())
+        except ZeroDivisionError:
+            raise UsageError(f"--fix {fix}: the exponent has a zero denominator")
     print(product.coefficient_of(constraints) if constraints else product)
 
 

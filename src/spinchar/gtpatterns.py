@@ -495,20 +495,13 @@ def add_g_terms(terms: dict, zexp: tuple, count: int, nmax: int, max1: int, gen:
     add_weight_terms(terms, zexp, sign * count, nmax - max1 // 2, gen)
 
 
-def g_weight(p: GTPattern) -> LaurentPoly:
-    """(-1)^(max1/2) t^(max - max1/2) (1+t)^gen, as a rank-r polynomial in t."""
-    return _g_from_stats(p.stats(), p.rank)
-
-
-def short_g_weight(p1: ShortGTPattern) -> LaurentPoly:
-    """Same statistics formula applied to a three-row array."""
-    return _g_from_stats(p1.stats(), p1.rank)
-
-
-def _g_from_stats(st: PatternStats, rank: int) -> LaurentPoly:
+def g_weight(p) -> LaurentPoly:
+    """(-1)^(max1/2) t^(max - max1/2) (1+t)^gen, as a rank-r polynomial in t,
+    of a GTPattern or of a three-row ShortGTPattern."""
+    st = p.stats()
     terms = {}
-    add_g_terms(terms, (0,) * rank, 1, st.max, st.max1, st.gen)
-    return LaurentPoly._make(terms, rank)
+    add_g_terms(terms, (0,) * p.rank, 1, st.max, st.max1, st.gen)
+    return LaurentPoly._make(terms, p.rank)
 
 
 def tokuyama_rhs(lam, r: int = None) -> LaurentPoly:

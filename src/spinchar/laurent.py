@@ -9,6 +9,11 @@ used anywhere in this module.
   Monomial = (z: tuple of doubled exponents, t: plain exponent >= 0,
               q: doubled exponent)
 
+Operations keyed by variable name (substitute, evaluate, coefficient_of and
+parse) see a monomial as one doubled exponent list (z_1, ..., z_r, 2t, q);
+LaurentPoly._slot maps a name to its position there, and _doubled /
+_monomial convert between that list and a Monomial.
+
 The zero polynomial has an empty term map.  Monomials compare
 lexicographically as (z, t, q), which is a total order compatible with
 multiplication; serialization lists terms in descending order of this key,
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -53,47 +57,6 @@ class NonExactDivisionError(ArithmeticError):
 
 class SubstitutionError(ValueError):
     """Raised when a substitution cannot be performed exactly."""
-
-
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An element of (1/2)Z, stored as twice its value.
-
-    The value is ``twice / 2``; it is an integer iff ``twice`` is even.
-    Arithmetic and comparison are exact.
-    """
-
-    twice: int
-
-    @staticmethod
-    def of(value) -> "HalfInt":
-        """Coerce an int, Fraction with denominator 1 or 2, or HalfInt."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return HalfInt(2 * value)
-        frac = Fraction(value)
-        if frac.denominator not in (1, 2):
-            raise ValueError(f"not a half-integer: {value!r}")
-        return HalfInt(int(frac * 2))
-
-    def __add__(self, other):
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
 
 
 class Monomial(NamedTuple):
@@ -124,7 +87,19 @@ def _format_exp(twice: int) -> str:
     return f"{twice}/2"
 
 
-_FACTOR_RE = re.compile(r"^(z(\d+)|t|q)(?:\^\{(-?\d+(?:/2)?)\})?$")
+def _twice(value) -> int:
+    """Twice a half-integer given as an int, or as a Fraction (or anything
+    Fraction accepts) with denominator 1 or 2."""
+    if isinstance(value, int):
+        return 2 * value
+    frac = Fraction(value)
+    if frac.denominator not in (1, 2):
+        raise ValueError(f"not a half-integer: {value!r}")
+    return int(frac * 2)
+
+
+_FACTOR_RE = re.compile(r"^(z\d+|t|q)(?:\^\{(-?\d+(?:/2)?)\})?$")
+_Z_NAME_RE = re.compile(r"z([1-9][0-9]*)")
 
 # A product with at least this many pairs of terms is multiplied on packed
 # keys.  Most products are far smaller (tiny q-polynomials), and there
@@ -245,10 +220,10 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(rank: int, zexp=(), texp: int = 0, qexp=0, coef: int = 1) -> "LaurentPoly":
-        """Single term; zexp entries and qexp may be HalfInt, int or Fraction."""
+        """Single term; zexp entries and qexp are half-integers (int or Fraction)."""
         zt = list(zexp) + [0] * (rank - len(list(zexp)))
-        z = tuple(HalfInt.of(e).twice for e in zt)
-        mono = Monomial(z, texp, HalfInt.of(qexp).twice)
+        z = tuple(_twice(e) for e in zt)
+        mono = Monomial(z, texp, _twice(qexp))
         if coef == 0:
             return LaurentPoly.zero(rank)
         return LaurentPoly({mono: coef}, rank)
@@ -447,27 +422,45 @@ class LaurentPoly:
                     rem.pop(key, None)
         return LaurentPoly._make(quo, self.rank)
 
-    # -- substitution and evaluation ----------------------------------------
+    # -- the variable layout -------------------------------------------------
 
-    def _var_exponent(self, mono: Monomial, name: str) -> int:
-        """Doubled exponent of the named variable in a monomial (t: doubled too)."""
+    def _slot(self, name: str) -> int:
+        """Position of a variable in the doubled exponent list (z_1..z_r, 2t, q)."""
+        r = self.rank
         if name == "t":
-            return 2 * mono.t
+            return r
         if name == "q":
-            return mono.q
-        idx = int(name[1:])
-        if not 1 <= idx <= self.rank:
-            raise RankMismatchError(f"no variable {name} at rank {self.rank}")
-        return mono.z[idx - 1]
+            return r + 1
+        m = _Z_NAME_RE.fullmatch(name)
+        if m and int(m.group(1)) <= r:
+            return int(m.group(1)) - 1
+        raise RankMismatchError(
+            f"no variable {name} at rank {r} (variables: {', '.join(self._names())})"
+        )
+
+    def _names(self) -> list:
+        """Variable names, one per slot; built only for error messages."""
+        return [f"z{i}" for i in range(1, self.rank + 1)] + ["t", "q"]
+
+    @staticmethod
+    def _doubled(mono: Monomial) -> list:
+        """Doubled exponent list (z_1..z_r, 2t, q) of a monomial."""
+        return [*mono.z, 2 * mono.t, mono.q]
+
+    def _monomial(self, e) -> Monomial:
+        """The monomial of a doubled exponent list whose t slot is even."""
+        r = self.rank
+        return Monomial(tuple(e[:r]), e[r] // 2, e[r + 1])
+
+    # -- substitution and evaluation ----------------------------------------
 
     @staticmethod
     def _rational_power(base: Fraction, twice_exp: int) -> Fraction:
         """base ** (twice_exp/2), exact; requires an exact square root if odd."""
+        if twice_exp < 0 and base == 0:
+            raise SubstitutionError("zero to a negative power")
         if twice_exp % 2 == 0:
-            exp = twice_exp // 2
-            if exp < 0 and base == 0:
-                raise SubstitutionError("zero to a negative power")
-            return base ** exp
+            return base ** (twice_exp // 2)
         if base < 0:
             raise SubstitutionError("no exact square root of a negative value")
         num, den = base.numerator, base.denominator
@@ -476,134 +469,111 @@ class LaurentPoly:
             raise SubstitutionError(f"{base} is not an exact square")
         return Fraction(rn, rd) ** twice_exp
 
-    def substitute(self, bindings: Mapping[str, Union[int, Fraction, "LaurentPoly"]]) -> "LaurentPoly":
-        """Exact substitution of variables by rationals or single-term polynomials.
+    def _bind(self, bindings: Mapping) -> dict:
+        """Term map, with Fraction coefficients, of the polynomial with each
+        named variable replaced by a number or a single-term polynomial.
 
-        Keys are variable names ("z1", ..., "t", "q").  A variable appearing
-        with half-integer exponents needs a binding with an exact square root
-        (a square rational, or a single-term square monomial).  Raises
-        SubstitutionError on a polynomial binding of more than one term, or
-        if the result would have fractional coefficients.
+        All variables are replaced at once: a binding's own variables are
+        not bound again.
         """
-        names = list(bindings)
+        r = self.rank
+        slots, values = [], []
+        for name, value in bindings.items():
+            slots.append(self._slot(name))
+            if isinstance(value, LaurentPoly):
+                if value.rank != r:
+                    raise RankMismatchError("binding rank mismatch")
+                if len(value.terms) != 1:
+                    raise SubstitutionError(
+                        "a polynomial binding must be a single term"
+                    )
+                (bm, bc), = value.terms.items()
+                square = not (any(x % 2 for x in bm.z) or bm.t % 2 or bm.q % 2)
+                spread = [(i, x) for i, x in enumerate(self._doubled(bm)) if x]
+                value = (Fraction(bc), spread, square)
+            else:
+                value = Fraction(value)
+            values.append(value)
         acc: dict = {}
         for mono, coef in self.terms.items():
             rat = Fraction(coef)
-            zrem, trem, qrem = list(mono.z), mono.t, mono.q
-            for name in names:
-                twice_exp = self._var_exponent(mono, name)
-                if name == "t":
-                    trem = 0
-                elif name == "q":
-                    qrem = 0
-                else:
-                    zrem[int(name[1:]) - 1] = 0
-                if twice_exp == 0:
+            e = self._doubled(mono)
+            twices = [e[s] for s in slots]
+            for s in slots:
+                e[s] = 0
+            for value, twice in zip(values, twices):
+                if not twice:
                     continue
-                value = bindings[name]
-                if isinstance(value, LaurentPoly):
-                    if value.rank != self.rank:
-                        raise RankMismatchError("binding rank mismatch")
-                    if len(value.terms) != 1:
-                        raise SubstitutionError(
-                            "a polynomial binding must be a single term"
-                        )
-                    (bm, bc), = value.terms.items()
-                    rat *= self._rational_power(Fraction(bc), twice_exp)
-                    if twice_exp % 2 == 0:
-                        e = twice_exp // 2
-                    else:
-                        if any(x % 2 for x in bm.z) or bm.t % 2 or bm.q % 2:
-                            raise SubstitutionError(
-                                "binding is not an exact square monomial"
-                            )
-                        bm = Monomial(
-                            tuple(x // 2 for x in bm.z), bm.t // 2, bm.q // 2
-                        )
-                        e = twice_exp
-                    for k in range(len(zrem)):
-                        zrem[k] += e * bm.z[k]
-                    trem += e * bm.t
-                    qrem += e * bm.q
-                    if trem < 0:
-                        raise SubstitutionError("negative t exponent produced")
-                else:
-                    rat *= self._rational_power(Fraction(value), twice_exp)
-            base = Monomial(tuple(zrem), trem, qrem)
-            acc[base] = acc.get(base, Fraction(0)) + rat
+                if type(value) is Fraction:
+                    rat *= self._rational_power(value, twice)
+                    continue
+                bc, spread, square = value
+                if twice % 2 and not square:
+                    raise SubstitutionError("binding is not an exact square monomial")
+                rat *= self._rational_power(bc, twice)
+                for i, x in spread:  # times twice/2, exact by the square check
+                    e[i] += twice * x // 2
+            if e[r] < 0:
+                raise SubstitutionError("negative t exponent produced")
+            key = self._monomial(e)
+            acc[key] = acc[key] + rat if key in acc else rat
+        return acc
+
+    def substitute(self, bindings: Mapping[str, Union[int, Fraction, "LaurentPoly"]]) -> "LaurentPoly":
+        """Exact substitution of variables by rationals or single-term polynomials.
+
+        Keys are variable names ("z1", ..., "t", "q"); a name that is not a
+        variable at this rank raises RankMismatchError.  A variable
+        appearing with half-integer exponents needs a binding with an exact
+        square root (a square rational, or a single-term square monomial).
+        Raises SubstitutionError on a polynomial binding of more than one
+        term, or if the result would have fractional coefficients.
+        """
         out = {}
-        for key, val in acc.items():
-            if val == 0:
-                continue
+        for key, val in self._bind(bindings).items():
             if val.denominator != 1:
                 raise SubstitutionError(
                     f"substitution leaves fractional coefficient {val}; "
                     "use evaluate() for numeric values"
                 )
-            out[key] = int(val)
+            if val:
+                out[key] = int(val)
         return LaurentPoly._make(out, self.rank)
 
     def evaluate(self, assignments: Mapping[str, Union[int, Fraction]]) -> Fraction:
         """Fully numeric exact evaluation; every occurring variable must bind."""
-        total = Fraction(0)
-        vals = {k: Fraction(v) for k, v in assignments.items()}
-        for mono, coef in self.terms.items():
-            term = Fraction(coef)
-            for i, e in enumerate(mono.z):
-                if e:
-                    name = f"z{i + 1}"
-                    if name not in vals:
-                        raise SubstitutionError(f"unbound variable {name}")
-                    term *= self._rational_power(vals[name], e)
-            if mono.t:
-                if "t" not in vals:
-                    raise SubstitutionError("unbound variable t")
-                term *= vals["t"] ** mono.t
-            if mono.q:
-                if "q" not in vals:
-                    raise SubstitutionError("unbound variable q")
-                term *= self._rational_power(vals["q"], mono.q)
-            total += term
-        return total
+        acc = self._bind(assignments)
+        for key in acc:
+            if any(key.z) or key.t or key.q:
+                e = self._doubled(key)
+                name = self._names()[next(i for i, x in enumerate(e) if x)]
+                raise SubstitutionError(f"unbound variable {name}")
+        # Every term is now constant: at most one key is left.
+        return acc.popitem()[1] if acc else Fraction(0)
 
     def coefficient_of(self, constraints: Mapping[str, object]) -> "LaurentPoly":
         """Sub-polynomial multiplying the constrained exponents.
 
-        ``constraints`` maps variable names to required exponents (HalfInt,
-        int or Fraction); matching terms are returned with those exponents
-        cleared, in the same rank.
+        ``constraints`` maps variable names to required exponents (int or
+        Fraction half-integers; t needs an integer); matching terms are
+        returned with those exponents cleared, in the same rank.
         """
-        want = {}
+        want = []
         for name, value in constraints.items():
-            if name == "t":
-                h = HalfInt.of(value)
-                if not h.is_integer:
-                    raise ValueError("t exponent must be an integer")
-                want[name] = h.twice // 2
-            else:
-                want[name] = HalfInt.of(value).twice
+            slot, twice = self._slot(name), _twice(value)
+            if slot == self.rank and twice % 2:
+                raise ValueError("t exponent must be an integer")
+            want.append((slot, twice))
+        # Matching terms agree on every constrained slot, so clearing those
+        # slots keeps their monomials distinct.
         out = {}
         for mono, coef in self.terms.items():
-            ok = True
-            for name, target in want.items():
-                actual = mono.t if name == "t" else self._var_exponent(mono, name)
-                if actual != target:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            z = list(mono.z)
-            t, q = mono.t, mono.q
-            for name in want:
-                if name == "t":
-                    t = 0
-                elif name == "q":
-                    q = 0
-                else:
-                    z[int(name[1:]) - 1] = 0
-            key = Monomial(tuple(z), t, q)
-            out[key] = out.get(key, 0) + coef
-        return LaurentPoly._make({k: v for k, v in out.items() if v}, self.rank)
+            e = self._doubled(mono)
+            if all(e[s] == w for s, w in want):
+                for s, _ in want:
+                    e[s] = 0
+                out[self._monomial(e)] = coef
+        return LaurentPoly._make(out, self.rank)
 
     # -- serialization -----------------------------------------------------
 
@@ -646,39 +616,24 @@ class LaurentPoly:
         text = text.strip()
         if text == "0":
             return LaurentPoly.zero(rank)
+        shell = LaurentPoly.zero(rank)  # owns the variable layout
         terms: dict = {}
         for chunk in text.split(" + "):
             pieces = chunk.split(" * ")
             coef = int(pieces[0])
-            z = [0] * rank
-            t = 0
-            q = 0
+            e = [0] * (rank + 2)
             if len(pieces) == 2:
                 for factor in pieces[1].split():
                     m = _FACTOR_RE.match(factor)
                     if not m:
                         raise ValueError(f"bad factor {factor!r}")
-                    name, zidx, exp = m.group(1), m.group(2), m.group(3)
-                    if exp is None:
-                        twice = 2
-                    elif exp.endswith("/2"):
-                        twice = int(exp[:-2])
-                    else:
-                        twice = 2 * int(exp)
-                    if name == "t":
-                        if twice % 2:
-                            raise ValueError("fractional t exponent")
-                        t = twice // 2
-                    elif name == "q":
-                        q = twice
-                    else:
-                        idx = int(zidx)
-                        if not 1 <= idx <= rank:
-                            raise RankMismatchError(f"z{idx} out of range")
-                        z[idx - 1] = twice
+                    name, exp = m.groups()
+                    e[shell._slot(name)] = 2 if exp is None else _twice(exp)
             elif len(pieces) > 2:
                 raise ValueError(f"bad term {chunk!r}")
-            mono = Monomial(tuple(z), t, q)
+            if e[rank] % 2:
+                raise ValueError("fractional t exponent")
+            mono = shell._monomial(e)
             terms[mono] = terms.get(mono, 0) + coef
         return LaurentPoly(terms, rank)
 

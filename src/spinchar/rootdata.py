@@ -1,10 +1,11 @@
 """Root and weight bookkeeping for the B_r / C_r pair.
 
-Weights of Spin(2r+1) are carried in e-vee coordinates (doubled integers,
-see HalfInt).  The torus convention is z^(sum a_i e_i-vee) = prod z_i^(a_i),
-fixed globally.  The character is computed by exact division of alternating
-Weyl-group sums, which keeps it fully independent of the pattern machinery
-it is later checked against.
+Weights of Spin(2r+1) are carried in e-vee coordinates as tuples of doubled
+integers (entry i is twice the i-th coordinate), the same convention as the
+z-exponents of a LaurentPoly.  The torus convention is
+z^(sum a_i e_i-vee) = prod z_i^(a_i), fixed globally.  The character is
+computed by exact division of alternating Weyl-group sums, which keeps it
+fully independent of the pattern machinery it is later checked against.
 """
 
 from __future__ import annotations
@@ -14,30 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .laurent import HalfInt, LaurentPoly, Monomial, prod
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """e-vee coordinates, stored doubled (coords_twice[i] = 2 * coordinate)."""
-
-    coords_twice: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords_twice)
-
-    @property
-    def coords(self) -> tuple:
-        return tuple(HalfInt(c) for c in self.coords_twice)
-
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        return WeightVector(
-            tuple(a + b for a, b in zip(self.coords_twice, other.coords_twice))
-        )
-
-    def __str__(self):
-        return "(" + ", ".join(str(HalfInt(c)) for c in self.coords_twice) + ")"
+from .laurent import LaurentPoly, Monomial, prod
 
 
 @dataclass(frozen=True)
@@ -80,8 +58,8 @@ def weyl_group(r: int):
             yield SignedPermutation(perm, signs)
 
 
-def lambda_to_evee(lam, r: int = None) -> WeightVector:
-    """Weight sum(lam_i eps_i) in e-vee coordinates.
+def lambda_to_evee(lam, r: int = None) -> tuple:
+    """Weight sum(lam_i eps_i) in doubled e-vee coordinates.
 
     Coordinate j is sum(lam_i for j <= i < r) + lam_r / 2, from the
     fundamental weights eps_i = e_1-vee + ... + e_i-vee (i < r) and
@@ -92,18 +70,15 @@ def lambda_to_evee(lam, r: int = None) -> WeightVector:
         r = len(lam)
     if len(lam) != r:
         raise ValueError("length of lambda must equal the rank")
-    coords = []
-    for j in range(r):  # 0-based coordinate j+1
-        twice = 2 * sum(lam[j : r - 1]) + lam[r - 1]
-        coords.append(twice)
-    return WeightVector(tuple(coords))
+    return tuple(2 * sum(lam[j : r - 1]) + lam[r - 1] for j in range(r))
 
 
-def rho(r: int) -> WeightVector:
-    """Half-sum of positive roots: coordinates (r - j + 1/2) for j = 1..r."""
+def rho(r: int) -> tuple:
+    """Half-sum of positive roots: coordinates (r - j + 1/2) for j = 1..r,
+    doubled."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    return WeightVector(tuple(2 * (r - j) + 1 for j in range(1, r + 1)))
+    return tuple(2 * (r - j) + 1 for j in range(1, r + 1))
 
 
 def upsilon(mu) -> tuple:
@@ -142,19 +117,20 @@ def deformed_denominator(r: int) -> LaurentPoly:
     return prod(factors, r).shift(Monomial(z_minus_rho, 0, 0))
 
 
-def weyl_numerator(nu: WeightVector, r: int = None) -> LaurentPoly:
+def weyl_numerator(nu: tuple, r: int = None) -> LaurentPoly:
     """Alternating sum over the Weyl group: sum sgn(w) z^{w(nu)}.
 
-    Requires nu strictly dominant (nu_1 > ... > nu_r > 0); otherwise the
-    sum vanishes or terms collide and we refuse.
+    nu is in doubled e-vee coordinates and must be strictly dominant
+    (nu_1 > ... > nu_r > 0); otherwise the sum vanishes or terms collide
+    and we refuse.
     """
-    coords = nu.coords_twice
+    coords = tuple(nu)
     if r is None:
         r = len(coords)
     if len(coords) != r:
         raise ValueError("rank mismatch")
     if any(coords[i] <= coords[i + 1] for i in range(r - 1)) or coords[-1] <= 0:
-        raise ValueError(f"{nu} is not strictly dominant")
+        raise ValueError(f"doubled coordinates {coords} are not strictly dominant")
     terms = {}
     for w in weyl_group(r):
         mono = Monomial(w.act_twice(coords), 0, 0)
@@ -199,8 +175,8 @@ def weyl_dimension(lam, r: int = None) -> int:
     lam = tuple(lam)
     if r is None:
         r = len(lam)
-    nu = lambda_to_evee([l + 1 for l in lam], r).coords_twice
-    rh = rho(r).coords_twice
+    nu = lambda_to_evee([l + 1 for l in lam], r)
+    rh = rho(r)
     value = Fraction(1)
     for i in range(r):
         value *= Fraction(nu[i], rh[i])

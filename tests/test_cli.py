@@ -57,6 +57,19 @@ def test_verify_reports_are_byte_stable():
     assert a.stdout == b.stdout
 
 
+def test_verify_prop5_values_at_q():
+    report = json.loads(run("verify", "prop5", "--mu", "2,1", "--q", "4").stdout)
+    assert report["params"]["q"] == 4
+    assert len(report["counts"]["values_at_q"]) == report["counts"]["checked"]
+    assert all(lhs == rhs for _, lhs, rhs in report["counts"]["values_at_q"])
+
+
+def test_enumerate_limit():
+    out = run("enumerate", "gt", "--mu", "2,2", "--limit", "1")
+    assert out.returncode == 0
+    assert len(out.stdout.splitlines()) == 1
+
+
 def test_verify_lemma10():
     out = run("verify", "lemma10-equiv", "--mu", "2,2")
     assert out.returncode == 0
@@ -143,6 +156,15 @@ def test_enumerate_cq_csv():
         ("verify", "lemma3", "--mu", "0,1"),
         ("verify", "lemma10-equiv", "--mu", "2,-1"),
         ("verify", "prop5", "--rank", "3", "--mu", "2,2"),
+        ("coeff", "--lambda", "1", "--fix", "z1=1/0"),
+        ("coeff", "--lambda", "1,1", "--fix", "w=1"),
+        ("enumerate", "gt", "--mu", "2,2", "--limit", "0"),
+        ("enumerate", "tableaux", "--mu", "2,2", "--limit", "-1"),
+        ("enumerate", "gt", "--mu", "2,-1"),
+        ("enumerate", "tableaux", "--mu", "2,-1"),
+        ("enumerate", "omega", "--mu", "2,-1"),
+        ("enumerate", "cq", "--muprime", "2,-1"),
+        ("verify", "prop5", "--mu", "2,2", "--q", "0"),
     ],
     ids=" ".join,
 )

@@ -17,7 +17,6 @@ from spinchar.gtpatterns import (
     in_gt_circle,
     join,
     mu_of_top_row,
-    short_g_weight,
     split,
     tokuyama_rhs,
     top_row,
@@ -197,7 +196,7 @@ def test_split_join_and_multiplicativity():
             assert join(p1, tail) == p
             assert p.wt()[0] == p1.wt1()
             assert p.wt()[1:] == tail.wt()
-            assert g_weight(p) == short_g_weight(p1) * g_weight(tail).embed(2)
+            assert g_weight(p) == g_weight(p1) * g_weight(tail).embed(2)
 
 
 def test_short_patterns_match_full_at_rank1_style():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from spinchar.laurent import (
     PACKED_MIN_PAIRS,
-    HalfInt,
     LaurentPoly,
     Monomial,
     NonExactDivisionError,
@@ -14,6 +13,7 @@ from spinchar.laurent import (
     SubstitutionError,
     _mul_dict,
     _mul_packed,
+    _twice,
 )
 from spinchar.rootdata import character, deformed_denominator
 
@@ -27,14 +27,15 @@ def t(rank=2):
 
 
 def test_halfint_basics():
-    assert HalfInt.of(3).twice == 6
-    assert HalfInt.of(Fraction(11, 2)).twice == 11
-    assert str(HalfInt(11)) == "11/2"
-    assert str(HalfInt(-4)) == "-2"
-    assert HalfInt(3) + HalfInt(1) == HalfInt(4)
-    assert not HalfInt(3).is_integer
+    assert _twice(3) == 6
+    assert _twice(Fraction(11, 2)) == 11
+    assert _twice(Fraction(-4, 2)) == -4
+    assert str(LaurentPoly.monomial(1, zexp=(Fraction(11, 2),))) == "1 * z1^{11/2}"
+    assert str(LaurentPoly.monomial(0, qexp=-2)) == "1 * q^{-2}"
     with pytest.raises(ValueError):
-        HalfInt.of(Fraction(1, 3))
+        _twice(Fraction(1, 3))
+    with pytest.raises(ValueError):
+        LaurentPoly.monomial(1, qexp=Fraction(1, 3))
 
 
 def test_add_cancellation_and_identity():
@@ -100,6 +101,42 @@ def test_coefficient_of_examples():
     p = z(1) * t() + z(2)
     assert p.coefficient_of({"z1": 1}) == t()
     assert LaurentPoly.zero(2).coefficient_of({"z1": 1}) == LaurentPoly.zero(2)
+    assert p.coefficient_of({"z1": 1, "t": 1}) == LaurentPoly.one(2)
+    with pytest.raises(ValueError, match="t exponent must be an integer"):
+        p.coefficient_of({"t": Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("name", ["w", "z3", "z0", "z01", "", "T"])
+def test_unknown_variable_names_are_rank_mismatches(name):
+    # Every name-keyed operation resolves names through one map, so each
+    # rejects a name that is not a variable at rank 2, even on the zero
+    # polynomial, where no term reaches the lookup.
+    for p in (z(1) * t() + z(2), LaurentPoly.zero(2)):
+        with pytest.raises(RankMismatchError, match="z1, z2, t, q"):
+            p.substitute({name: 1})
+        with pytest.raises(RankMismatchError):
+            p.evaluate({"z1": 1, "z2": 1, "t": 1, name: 1})
+        with pytest.raises(RankMismatchError):
+            p.coefficient_of({name: 1})
+
+
+def test_substitution_is_simultaneous():
+    # z1 -> t and t -> 0 at once: the t that z1 brings in is not bound again.
+    p = z(1) + t()
+    assert p.substitute({"z1": t(), "t": 0}) == t()
+    assert p.substitute({"t": 0, "z1": t()}) == t()
+    # z1^(1/2) z2^(1/2) -> t^(1/2) t^(1/2) needs a square binding for each.
+    with pytest.raises(SubstitutionError, match="square"):
+        (z(1, half=True) * z(2, half=True)).substitute({"z1": t(), "z2": t()})
+
+
+def test_evaluate_reports_unbound_and_zero_to_negative_powers():
+    with pytest.raises(SubstitutionError, match="unbound variable t"):
+        (z(1) + t()).evaluate({"z1": 2})
+    qinv_half = LaurentPoly.monomial(0, qexp=Fraction(-1, 2))
+    for p in (LaurentPoly.monomial(0, qexp=-1), qinv_half):
+        with pytest.raises(SubstitutionError, match="zero to a negative power"):
+            p.evaluate({"q": 0})
 
 
 def test_serialize_deterministic():

@@ -19,15 +19,15 @@ from spinchar.rootdata import (
 
 
 def test_lambda_to_evee():
-    assert lambda_to_evee((3, 2)).coords_twice == (8, 2)  # (4, 1)
-    assert lambda_to_evee((4, 3)).coords_twice == (11, 3)  # (11/2, 3/2)
-    assert lambda_to_evee((0, 0)).coords_twice == (0, 0)
+    assert lambda_to_evee((3, 2)) == (8, 2)  # (4, 1)
+    assert lambda_to_evee((4, 3)) == (11, 3)  # (11/2, 3/2)
+    assert lambda_to_evee((0, 0)) == (0, 0)
 
 
 def test_rho():
-    assert rho(1).coords_twice == (1,)  # (1/2)
-    assert rho(2).coords_twice == (3, 1)  # (3/2, 1/2)
-    assert rho(3).coords_twice == (5, 3, 1)
+    assert rho(1) == (1,)  # (1/2)
+    assert rho(2) == (3, 1)  # (3/2, 1/2)
+    assert rho(3) == (5, 3, 1)
 
 
 def test_upsilon():
@@ -96,12 +96,10 @@ def test_weyl_numerator_rank2_shifted_weight():
 
 
 def test_weyl_numerator_requires_strict_dominance():
-    from spinchar.rootdata import WeightVector
-
     with pytest.raises(ValueError):
-        weyl_numerator(WeightVector((3, 3)), 2)
+        weyl_numerator((3, 3), 2)
     with pytest.raises(ValueError):
-        weyl_numerator(WeightVector((3, 0)), 2)
+        weyl_numerator((3, 0), 2)
 
 
 def test_weyl_numerator_antisymmetry():
