@@ -19,7 +19,6 @@ import time
 from fractions import Fraction
 
 from . import gtpatterns, padic, rootdata, tableaux, whittaker
-from .laurent import LaurentPoly
 from .reports import Report
 
 USAGE_ERROR = 2
@@ -57,6 +56,15 @@ def _mu(args, least: int = 1, least_rank: int = 2, dest: str = "mu") -> tuple:
         sign = "positive" if least > 0 else "nonnegative"
         label = args.claim if args.command == "verify" else f"enumerate {args.kind}"
         raise UsageError(f"{label} needs {rank}{sign} {_FLAGS[dest]}")
+    return mu
+
+
+def _top_mu(args) -> tuple:
+    """--mu of a pattern top row, top_row(mu): nonnegative, and strictly
+    decreasing only when no entry before the last is 0."""
+    mu = _mu(args, least=0, least_rank=1)
+    if 0 in mu[:-1]:
+        raise UsageError(f"--mu {args.mu}: only its last entry may be 0")
     return mu
 
 
@@ -214,9 +222,7 @@ def _verify_lemma3(args) -> Report:
     n = 0
     for s in padic.omega_sets(mu, "<="):
         direct = padic.lemma3_direct(s, mu)
-        closed = (
-            LaurentPoly.zero(0) if s == mu else padic.lemma3_closed(s, mu)
-        )
+        closed = padic.lemma3_closed(s, mu)
         n += 1
         if direct != closed:
             rep.mismatches.append(
@@ -227,7 +233,7 @@ def _verify_lemma3(args) -> Report:
 
 
 def _verify_lemma10(args) -> Report:
-    mu = _mu(args, least=0, least_rank=1)
+    mu = _top_mu(args)
     mup = rootdata.upsilon(mu)
     rep = Report("lemma10-equiv", {"mu": list(mu), "top_parameter": list(mup)})
     n = 0
@@ -264,7 +270,7 @@ def _enumerate(args) -> None:
     out = sys.stdout
     limit = _at_least(args.limit, "--limit", 1)
     if kind == "gt":
-        mu = _mu(args, least=0, least_rank=1)
+        mu = _top_mu(args)
         n = 0
         for p in gtpatterns.enumerate_strict(mu):
             if args.circle_only and not gtpatterns.in_gt_circle(p):
@@ -275,7 +281,7 @@ def _enumerate(args) -> None:
                 break
         return
     if kind == "tableaux":
-        mu = _mu(args, least=0, least_rank=1)
+        mu = _top_mu(args)
         n = 0
         for p in gtpatterns.enumerate_strict(mu):
             s = tableaux.from_gt(p)

@@ -2,24 +2,23 @@
 
 A polynomial lives in the ring  Z[z_1^{±1/2}, ..., z_r^{±1/2}, t, q^{±1/2}]
 and is represented as a dictionary mapping monomials to nonzero integer
-coefficients.  Half-integer exponents are stored as *doubled* integers, so
-all exponent arithmetic is exact integer arithmetic; no floating point is
-used anywhere in this module.
+coefficients.  A monomial is keyed by one flat tuple of *doubled* exponents,
 
-  Monomial = (z: tuple of doubled exponents, t: plain exponent >= 0,
-              q: doubled exponent)
+  (z_1, ..., z_r, 2t, q)
 
-Operations keyed by variable name (substitute, evaluate, coefficient_of and
-parse) see a monomial as one doubled exponent list (z_1, ..., z_r, 2t, q);
-LaurentPoly._slot maps a name to its position there, and _doubled /
-_monomial convert between that list and a Monomial.
+t included, so half-integer exponents are exact integers and every
+exponent is handled the same way; no floating point is used anywhere in
+this module.  The t slot is even and >= 0.  Monomial(z, t, q) builds a key
+and is the one place that knows this order; LaurentPoly._slot maps a
+variable name to its position in the key.  Multiplying monomials adds their
+keys element by element.
 
-The zero polynomial has an empty term map.  Monomials compare
-lexicographically as (z, t, q), which is a total order compatible with
-multiplication; serialization lists terms in descending order of this key,
+The zero polynomial has an empty term map.  Keys compare lexicographically,
+which orders terms as (z, t, q) and is a total order compatible with
+multiplication; serialization lists terms in descending order of the key,
 so output is byte-stable.
 
-Text grammar (used by golden files, see README):
+Text grammar (see README):
 
   poly   := "0" | term (" + " term)*
   term   := coef | coef " * " factor (" " factor)*
@@ -36,7 +35,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from operator import add, sub
+from typing import Iterable, Mapping, Union
 
 
 class RankMismatchError(ValueError):
@@ -59,32 +59,26 @@ class SubstitutionError(ValueError):
     """Raised when a substitution cannot be performed exactly."""
 
 
-class Monomial(NamedTuple):
-    """Exponent data of one term; z and q entries are doubled exponents."""
-
-    z: tuple
-    t: int
-    q: int
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(a + b for a, b in zip(self.z, other.z)),
-            self.t + other.t,
-            self.q + other.q,
-        )
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(a - b for a, b in zip(self.z, other.z)),
-            self.t - other.t,
-            self.q - other.q,
-        )
+def Monomial(z: tuple, t: int = 0, q: int = 0) -> tuple:
+    """Key (z_1, ..., z_r, 2t, q) of z^(z/2) t^t q^(q/2): the z entries and
+    q are doubled exponents, t is the plain exponent."""
+    return (*z, 2 * t, q)
 
 
 def _format_exp(twice: int) -> str:
     if twice % 2 == 0:
         return str(twice // 2)
     return f"{twice}/2"
+
+
+def _factors(names, twices) -> list:
+    """Text factors of the nonzero doubled exponents, one rule for every
+    variable: the bare name for exponent 1."""
+    return [
+        name if e == 2 else f"{name}^{{{_format_exp(e)}}}"
+        for name, e in zip(names, twices)
+        if e
+    ]
 
 
 def _twice(value) -> int:
@@ -108,14 +102,11 @@ PACKED_MIN_PAIRS = 4096
 
 
 def _mul_dict(a: dict, b: dict) -> dict:
-    """Term map of the product of two term maps, one Monomial per pair."""
+    """Term map of the product of two term maps, one key sum per pair."""
     out = {}
     for ma, ca in a.items():
-        za, ta, qa = ma
         for mb, cb in b.items():
-            key = Monomial(
-                tuple(x + y for x, y in zip(za, mb.z)), ta + mb.t, qa + mb.q
-            )
+            key = tuple(map(add, ma, mb))
             val = out.get(key, 0) + ca * cb
             if val:
                 out[key] = val
@@ -127,20 +118,18 @@ def _mul_dict(a: dict, b: dict) -> dict:
 def _mul_packed(a: dict, b: dict) -> dict:
     """Term map of the product of two term maps, multiplied on packed keys.
 
-    Each monomial becomes one int: its exponent of every variable (z_1..z_r,
-    t, q), less that factor's minimum, fills a bit field as wide as the two
+    Each monomial becomes one int: every entry of its key, less that
+    factor's minimum in the same slot, fills a bit field as wide as the two
     factors' spans added, so a sum of two keys never carries between fields
     and adding keys multiplies monomials.  Python ints are unbounded, so the
     result is exact for any exponents and coefficients.
     """
     if not a or not b:
         return {}
-    cols_a = [*zip(*(m.z for m in a)), [m.t for m in a], [m.q for m in a]]
-    cols_b = [*zip(*(m.z for m in b)), [m.t for m in b], [m.q for m in b]]
     keys_a, keys_b = [0] * len(a), [0] * len(b)
-    fields = []  # (offset, mask, exponent of field value 0) per variable
+    fields = []  # (offset, mask, exponent of field value 0) per slot
     offset = 0
-    for col_a, col_b in zip(cols_a, cols_b):
+    for col_a, col_b in zip(zip(*a), zip(*b)):
         lo_a, lo_b = min(col_a), min(col_b)
         width = (max(col_a) - lo_a + max(col_b) - lo_b).bit_length()
         keys_a = [k + ((e - lo_a) << offset) for k, e in zip(keys_a, col_a)]
@@ -156,13 +145,12 @@ def _mul_packed(a: dict, b: dict) -> dict:
             key = ka + kb
             out[key] = get(key, 0) + ca * cb
 
-    rank = len(fields) - 2
     terms = {}
     while out:  # popped as decoded: each packed key is freed as its term is built
         key, coef = out.popitem()
         if coef:
             e = [((key >> off) & mask) + lo for off, mask, lo in fields]
-            terms[Monomial(tuple(e[:rank]), e[rank], e[rank + 1])] = coef
+            terms[tuple(e)] = coef
     return terms
 
 
@@ -175,17 +163,15 @@ class LaurentPoly:
 
     __slots__ = ("terms", "rank")
 
-    def __init__(self, terms: Mapping[Monomial, int], rank: int):
+    def __init__(self, terms: Mapping[tuple, int], rank: int):
         canon = {}
         for mono, coef in terms.items():
-            if not isinstance(mono, Monomial):
-                mono = Monomial(tuple(mono[0]), mono[1], mono[2])
-            if len(mono.z) != rank:
+            if len(mono) != rank + 2:
                 raise RankMismatchError(
-                    f"monomial has {len(mono.z)} z-exponents, rank is {rank}"
+                    f"key {mono} has {len(mono)} slots, rank {rank} needs {rank + 2}"
                 )
-            if mono.t < 0:
-                raise ValueError("negative t exponent")
+            if mono[rank] < 0 or mono[rank] % 2:
+                raise ValueError(f"t exponent of key {mono} is not an integer >= 0")
             if coef:
                 canon[mono] = coef
         object.__setattr__(self, "terms", canon)
@@ -212,7 +198,7 @@ class LaurentPoly:
     def const(value: int, rank: int) -> "LaurentPoly":
         if value == 0:
             return LaurentPoly.zero(rank)
-        return LaurentPoly._make({Monomial((0,) * rank, 0, 0): int(value)}, rank)
+        return LaurentPoly._make({Monomial((0,) * rank): int(value)}, rank)
 
     @staticmethod
     def one(rank: int) -> "LaurentPoly":
@@ -235,11 +221,11 @@ class LaurentPoly:
             raise RankMismatchError(f"z{i} out of range for rank {rank}")
         z = [0] * rank
         z[i - 1] = 1 if half else 2
-        return LaurentPoly._make({Monomial(tuple(z), 0, 0): 1}, rank)
+        return LaurentPoly._make({Monomial(z): 1}, rank)
 
     @staticmethod
     def t_var(rank: int) -> "LaurentPoly":
-        return LaurentPoly._make({Monomial((0,) * rank, 1, 0): 1}, rank)
+        return LaurentPoly._make({Monomial((0,) * rank, 1): 1}, rank)
 
     @staticmethod
     def q_var(rank: int, half: bool = False) -> "LaurentPoly":
@@ -313,15 +299,16 @@ class LaurentPoly:
         (mono, coef), = self.terms.items()
         if coef not in (1, -1):
             raise NonExactDivisionError("unit coefficient required", self)
-        inv = Monomial(tuple(-e for e in mono.z), -mono.t, -mono.q)
-        if inv.t < 0:
+        inv = tuple(-e for e in mono)
+        if inv[self.rank] < 0:
             raise NonExactDivisionError("negative t exponent in inverse", self)
         return LaurentPoly._make({inv: coef}, self.rank)
 
-    def shift(self, mono: Monomial, coef: int = 1) -> "LaurentPoly":
-        """Multiply by a single monomial (fast path, no dict merging)."""
+    def shift(self, mono: tuple, coef: int = 1) -> "LaurentPoly":
+        """Multiply by a single monomial key (fast path, no dict merging)."""
         return LaurentPoly._make(
-            {m.mul(mono): c * coef for m, c in self.terms.items()}, self.rank
+            {tuple(map(add, m, mono)): c * coef for m, c in self.terms.items()},
+            self.rank,
         )
 
     def __eq__(self, other):
@@ -350,12 +337,12 @@ class LaurentPoly:
             return self
         if rank < self.rank:
             raise RankMismatchError("cannot shrink rank")
-        pad = (0,) * (rank - self.rank)
+        r, pad = self.rank, (0,) * (rank - self.rank)
         return LaurentPoly._make(
-            {Monomial(m.z + pad, m.t, m.q): c for m, c in self.terms.items()}, rank
+            {m[:r] + pad + m[r:]: c for m, c in self.terms.items()}, rank
         )
 
-    def leading(self) -> Monomial:
+    def leading(self) -> tuple:
         return max(self.terms)
 
     # -- division ----------------------------------------------------------
@@ -376,45 +363,29 @@ class LaurentPoly:
 
         lead_b = divisor.leading()
         coef_b = divisor.terms[lead_b]
-
-        def extremes(poly):
-            monos = list(poly.terms)
-            los, his = [], []
-            for i in range(poly.rank):
-                vals = [m.z[i] for m in monos]
-                los.append(min(vals))
-                his.append(max(vals))
-            los += [min(m.t for m in monos), min(m.q for m in monos)]
-            his += [max(m.t for m in monos), max(m.q for m in monos)]
-            return los, his
-
-        alo, ahi = extremes(self)
-        blo, bhi = extremes(divisor)
-        lo = [x - y for x, y in zip(alo, blo)]
-        hi = [x - y for x, y in zip(ahi, bhi)]
-
-        def in_box(m: Monomial) -> bool:
-            flat = list(m.z) + [m.t, m.q]
-            return all(l <= x <= h for l, x, h in zip(lo, flat, hi))
+        cols = list(zip(zip(*self.terms), zip(*divisor.terms)))
+        lo = [min(a) - min(b) for a, b in cols]
+        hi = [max(a) - max(b) for a, b in cols]
 
         rem = dict(self.terms)
         quo = {}
         while rem:
             lead_r = max(rem)
-            qmono = lead_r.divide(lead_b)
+            qmono = tuple(map(sub, lead_r, lead_b))
             if rem[lead_r] % coef_b:
                 raise NonExactDivisionError(
                     "leading coefficient does not divide",
                     LaurentPoly._make(rem, self.rank),
                 )
             qcoef = rem[lead_r] // coef_b
-            if qmono.t < 0 or not in_box(qmono):
+            in_box = all(l <= x <= h for l, x, h in zip(lo, qmono, hi))
+            if qmono[self.rank] < 0 or not in_box:
                 raise NonExactDivisionError(
                     "non-exact Laurent division", LaurentPoly._make(rem, self.rank)
                 )
             quo[qmono] = qcoef
             for mono, coef in divisor.terms.items():
-                key = qmono.mul(mono)
+                key = tuple(map(add, qmono, mono))
                 val = rem.get(key, 0) - qcoef * coef
                 if val:
                     rem[key] = val
@@ -425,7 +396,7 @@ class LaurentPoly:
     # -- the variable layout -------------------------------------------------
 
     def _slot(self, name: str) -> int:
-        """Position of a variable in the doubled exponent list (z_1..z_r, 2t, q)."""
+        """Position of a variable in the key (z_1..z_r, 2t, q)."""
         r = self.rank
         if name == "t":
             return r
@@ -439,18 +410,8 @@ class LaurentPoly:
         )
 
     def _names(self) -> list:
-        """Variable names, one per slot; built only for error messages."""
+        """Variable names, one per slot of the key."""
         return [f"z{i}" for i in range(1, self.rank + 1)] + ["t", "q"]
-
-    @staticmethod
-    def _doubled(mono: Monomial) -> list:
-        """Doubled exponent list (z_1..z_r, 2t, q) of a monomial."""
-        return [*mono.z, 2 * mono.t, mono.q]
-
-    def _monomial(self, e) -> Monomial:
-        """The monomial of a doubled exponent list whose t slot is even."""
-        r = self.rank
-        return Monomial(tuple(e[:r]), e[r] // 2, e[r + 1])
 
     # -- substitution and evaluation ----------------------------------------
 
@@ -488,8 +449,9 @@ class LaurentPoly:
                         "a polynomial binding must be a single term"
                     )
                 (bm, bc), = value.terms.items()
-                square = not (any(x % 2 for x in bm.z) or bm.t % 2 or bm.q % 2)
-                spread = [(i, x) for i, x in enumerate(self._doubled(bm)) if x]
+                # A square root of t^n needs n even: its doubled slot is 0 mod 4.
+                square = not (any(x % 2 for x in bm) or bm[r] % 4)
+                spread = [(i, x) for i, x in enumerate(bm) if x]
                 value = (Fraction(bc), spread, square)
             else:
                 value = Fraction(value)
@@ -497,7 +459,7 @@ class LaurentPoly:
         acc: dict = {}
         for mono, coef in self.terms.items():
             rat = Fraction(coef)
-            e = self._doubled(mono)
+            e = list(mono)
             twices = [e[s] for s in slots]
             for s in slots:
                 e[s] = 0
@@ -515,7 +477,7 @@ class LaurentPoly:
                     e[i] += twice * x // 2
             if e[r] < 0:
                 raise SubstitutionError("negative t exponent produced")
-            key = self._monomial(e)
+            key = tuple(e)
             acc[key] = acc[key] + rat if key in acc else rat
         return acc
 
@@ -544,9 +506,8 @@ class LaurentPoly:
         """Fully numeric exact evaluation; every occurring variable must bind."""
         acc = self._bind(assignments)
         for key in acc:
-            if any(key.z) or key.t or key.q:
-                e = self._doubled(key)
-                name = self._names()[next(i for i, x in enumerate(e) if x)]
+            if any(key):
+                name = self._names()[next(i for i, x in enumerate(key) if x)]
                 raise SubstitutionError(f"unbound variable {name}")
         # Every term is now constant: at most one key is left.
         return acc.popitem()[1] if acc else Fraction(0)
@@ -568,11 +529,11 @@ class LaurentPoly:
         # slots keeps their monomials distinct.
         out = {}
         for mono, coef in self.terms.items():
-            e = self._doubled(mono)
-            if all(e[s] == w for s, w in want):
+            if all(mono[s] == w for s, w in want):
+                e = list(mono)
                 for s, _ in want:
                     e[s] = 0
-                out[self._monomial(e)] = coef
+                out[tuple(e)] = coef
         return LaurentPoly._make(out, self.rank)
 
     # -- serialization -----------------------------------------------------
@@ -580,28 +541,21 @@ class LaurentPoly:
     def __str__(self):
         if not self.terms:
             return "0"
+        r, names = self.rank, self._names()
         parts = []
         z = zpart = None
-        # Sorted on (z, t, q), the terms of one z-part are adjacent, so each
-        # distinct z-part is formatted once.
+        tails = {}  # the factors of each distinct (t, q) part
+        # Sorted on the key, the terms of one z-part are adjacent, so each
+        # distinct z-part is formatted once, and so is each (t, q) part.
         for mono in sorted(self.terms, reverse=True):
             coef = self.terms[mono]
-            if mono.z != z:
-                z = mono.z
-                zpart = " ".join(
-                    f"z{i + 1}" if e == 2 else f"z{i + 1}^{{{_format_exp(e)}}}"
-                    for i, e in enumerate(z)
-                    if e
-                )
-            factors = [zpart] if zpart else []
-            if mono.t == 1:
-                factors.append("t")
-            elif mono.t:
-                factors.append(f"t^{{{mono.t}}}")
-            if mono.q == 2:
-                factors.append("q")
-            elif mono.q:
-                factors.append(f"q^{{{_format_exp(mono.q)}}}")
+            if mono[:r] != z:
+                z = mono[:r]
+                zpart = _factors(names, z)
+            tail = mono[r:]
+            if tail not in tails:
+                tails[tail] = _factors(names[r:], tail)
+            factors = zpart + tails[tail]
             if factors:
                 parts.append(f"{coef} * " + " ".join(factors))
             else:
@@ -631,9 +585,7 @@ class LaurentPoly:
                     e[shell._slot(name)] = 2 if exp is None else _twice(exp)
             elif len(pieces) > 2:
                 raise ValueError(f"bad term {chunk!r}")
-            if e[rank] % 2:
-                raise ValueError("fractional t exponent")
-            mono = shell._monomial(e)
+            mono = tuple(e)
             terms[mono] = terms.get(mono, 0) + coef
         return LaurentPoly(terms, rank)
 

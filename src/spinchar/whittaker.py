@@ -182,13 +182,14 @@ def _bridge(claim: str, lam: tuple, poly: LaurentPoly) -> CheckResult:
     # The polynomial split by k: each part keeps its (t, q) exponents only.
     parts = {}
     for mono, coef in poly.terms.items():
-        k = _k_of_z(a0, mono.z)
+        k = _k_of_z(a0, mono[:r])
         if k is None:
             result.mismatches.append(
-                {"monomial": str(mono), "error": "no matching k index"}
+                {"monomial": str(LaurentPoly._make({mono: 1}, r)),
+                 "error": "no matching k index"}
             )
             continue
-        parts.setdefault(k, {})[Monomial((0,) * r, mono.t, mono.q)] = coef
+        parts.setdefault(k, {})[(0,) * r + mono[r:]] = coef
 
     recon = {}
     for k in sorted(set(h_support(lam)) | set(parts)):

@@ -1,8 +1,13 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from test_acceptance import THEOREM1_CASES
+
+from spinchar import cli
 
 PY = [sys.executable, "-m", "spinchar"]
 
@@ -165,6 +170,9 @@ def test_enumerate_cq_csv():
         ("enumerate", "omega", "--mu", "2,-1"),
         ("enumerate", "cq", "--muprime", "2,-1"),
         ("verify", "prop5", "--mu", "2,2", "--q", "0"),
+        ("verify", "lemma10-equiv", "--mu", "0,2"),
+        ("enumerate", "gt", "--mu", "0,2"),
+        ("enumerate", "tableaux", "--mu", "1,0,1"),
     ],
     ids=" ".join,
 )
@@ -227,3 +235,22 @@ def test_reader_closing_the_pipe_early_is_not_a_failure():
     assert proc.wait(timeout=300) == 0
     assert err == ""
     assert "in_circle" in first
+
+
+def test_verify_all_jobs_parse_and_cover_the_acceptance_grid():
+    # scripts/verify_all.py is a script, so it is loaded by path; a mistyped
+    # flag or a grid that drifts from THEOREM1_CASES shows here, not after a
+    # long battery run.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parser = cli.build_parser()
+    grid = {"theorem1": set(), "corollary2": set()}
+    for claim, argv in script.JOBS:
+        args = parser.parse_args(["verify", claim, *argv])
+        cli._check_required(args)
+        if claim in grid:
+            grid[claim].add((cli._parse_ints(args.lam), args.rank))
+    for claim, cases in grid.items():
+        assert {(tuple(lam), r) for lam, r in THEOREM1_CASES} <= cases, claim

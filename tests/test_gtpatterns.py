@@ -135,7 +135,7 @@ def test_circle_sum_matches_enumeration(lam):
         st, wt = p.stats(), p.wt()
         tally[(wt, st.max, st.max1, st.gen)] += 1
         for mono, c in g_weight(p).terms.items():
-            key = Monomial(tuple(-w for w in wt), mono.t, 0)
+            key = Monomial(tuple(-w for w in wt), mono[-2] // 2, 0)
             terms[key] = terms.get(key, 0) + c
     assert circle_sum(top) == dict(tally)
     assert tokuyama_rhs(lam) == LaurentPoly(terms, len(lam))

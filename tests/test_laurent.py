@@ -139,6 +139,34 @@ def test_evaluate_reports_unbound_and_zero_to_negative_powers():
             p.evaluate({"q": 0})
 
 
+def test_keys_are_flat_tuples_of_doubled_exponents():
+    assert Monomial((1, -2), 3, 5) == (1, -2, 6, 5)
+    assert LaurentPoly({Monomial((1,), 2, -1): 3}, 1) == LaurentPoly.monomial(
+        1, zexp=(Fraction(1, 2),), texp=2, qexp=Fraction(-1, 2), coef=3
+    )
+    for key in ((0, 0, 0), (0, 0, 0, 0, 0), ((0, 0), 0, 0)):
+        with pytest.raises(RankMismatchError):
+            LaurentPoly({key: 1}, 2)
+    for tslot in (-2, 1, 3):  # t^(-1), t^(1/2), t^(3/2)
+        with pytest.raises(ValueError, match="t exponent"):
+            LaurentPoly({(0, 0, tslot, 0): 1}, 2)
+
+
+def test_terms_differing_in_t_and_q_print_in_key_order():
+    def m(texp, qexp, coef):
+        return LaurentPoly.monomial(
+            1, zexp=(Fraction(1, 2),), texp=texp, qexp=qexp, coef=coef
+        )
+
+    p = (m(0, 0, 1) + m(1, Fraction(-1, 2), -2) + m(2, 1, 3) + m(1, 0, -1)
+         + m(2, Fraction(3, 2), 1) + m(0, -1, 5) + m(1, 2, 1))
+    assert str(p) == (
+        "1 * z1^{1/2} t^{2} q^{3/2} + 3 * z1^{1/2} t^{2} q + 1 * z1^{1/2} t q^{2}"
+        " + -1 * z1^{1/2} t + -2 * z1^{1/2} t q^{-1/2} + 1 * z1^{1/2}"
+        " + 5 * z1^{1/2} q^{-1}"
+    )
+
+
 def test_serialize_deterministic():
     p = z(1) * t() + z(2) - LaurentPoly.const(3, 2)
     assert str(p) == str(LaurentPoly.parse(str(p), 2))

@@ -61,7 +61,7 @@ def test_h_values_are_laurent_in_q():
     for lam in itertools.product(range(2), repeat=2):
         for k in h_support(lam):
             poly = h_coeff(k, lam)
-            assert all(m.q % 2 == 0 for m in poly.terms)
+            assert all(m[-1] % 2 == 0 for m in poly.terms)
 
 
 def test_layer_keys_are_even():
@@ -140,6 +140,9 @@ def test_bridge_reports_a_stray_monomial_and_a_wrong_coefficient():
     assert {m.get("error") for m in res.mismatches} == {
         "no matching k index", "reconstruction differs from the polynomial"
     }
+    assert {"monomial": "1 * z1^{-3} z2^{-3/2}", "error": "no matching k index"} in (
+        res.mismatches
+    )
 
     # the constant term at one k of the support raised by 1
     k = sorted(h_support(lam))[1]
