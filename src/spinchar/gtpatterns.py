@@ -21,6 +21,9 @@ rank-one weight table at b = mu = 0.
 Classes, statistics, wt_i and both circle tests of an entry in row b_i or
 a_i depend only on the slice (a_{i-1}, b_i, a_i), a ShortGTPattern, where
 they are defined; a GTPattern sums or conjoins them over its slices.  The
+slice is also the unit of generation and validation: _slices_below yields
+every slice below an a-row, for enumerate_strict, enumerate_short and
+slice_walk alike, and GTPattern.validate checks slice by slice.  The
 pattern-side sum uses that locality directly (circle_sum, a transfer over
 a-rows by slice_walk, which the tableau-side sum shares with its own
 per-slice scorer); enumerate_strict with in_gt_circle is the independent
@@ -32,11 +35,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, Monomial
-from .rootdata import dominant, upsilon
+from .rootdata import dominant, shifted_weight
 
 MAXIMAL = "maximal"
 MINIMAL = "minimal"
@@ -45,13 +49,7 @@ GENERIC = "generic"
 
 def top_row(mu) -> tuple:
     """Partial sums from the right: (mu_1+...+mu_r, mu_2+...+mu_r, ..., mu_r)."""
-    mu = tuple(mu)
-    out = []
-    acc = 0
-    for m in reversed(mu):
-        acc += m
-        out.append(acc)
-    return tuple(reversed(out))
+    return tuple(accumulate(reversed(tuple(mu))))[::-1]
 
 
 def _strictly_decreasing(row) -> bool:
@@ -59,11 +57,14 @@ def _strictly_decreasing(row) -> bool:
     return all(row[k] > row[k + 1] for k in range(len(row) - 1))
 
 
+def slice_rows(arows, brows):
+    """The slices (a_{i-1}, b_i, a_i), i = 1..r, of a pattern's rows; a_r = ()."""
+    return zip(arows, brows, (*arows[1:], ()))
+
+
 def mu_of_top_row(row) -> tuple:
-    row = tuple(row)
-    return tuple(
-        row[i] - row[i + 1] for i in range(len(row) - 1)
-    ) + (row[-1],)
+    """Inverse of top_row."""
+    return tuple(x - y for x, y in zip(row, (*row[1:], 0)))
 
 
 @dataclass(frozen=True)
@@ -72,55 +73,29 @@ class GTPattern:
     arows: tuple  # arows[i] = row a_i, entries a_{i,i+1..r} (a_0: j=1..r)
     brows: tuple  # brows[i-1] = row b_i, entries b_{i,i..r}
 
-    def a(self, i: int, j: int) -> int:
-        return self.arows[i][j - i - 1] if i else self.arows[0][j - 1]
-
-    def b(self, i: int, j: int) -> int:
-        return self.brows[i - 1][j - i]
-
-    def has_a(self, i: int, j: int) -> bool:
-        lo = 1 if i == 0 else i + 1
-        return 0 <= i <= self.rank - 1 and lo <= j <= self.rank
-
     def rows(self) -> list:
         """Rows in display order a_0, b_1, a_1, ..., b_r."""
-        out = []
-        for i in range(self.rank):
-            out.append(self.arows[i])
-            out.append(self.brows[i])
-        return out
+        return [row for pair in zip(self.arows, self.brows) for row in pair]
 
     def validate(self) -> None:
-        r = self.rank
-        assert len(self.arows) == r and len(self.brows) == r
-        for i in range(r):
-            assert len(self.arows[i]) == (r if i == 0 else r - i)
-            assert len(self.brows[i]) == r - i
-        for row in self.rows():
-            assert all(x >= 0 for x in row)
-            assert _strictly_decreasing(row), "rows must strictly decrease"
-        for i in range(1, r):
-            assert self.a(i, r) >= 1, "a-rows below the top must end positively"
-        for i in range(1, r + 1):
-            for j in range(i, r + 1):
-                v = self.b(i, j)
-                assert v <= self.a(i - 1, j)
-                if j < r:
-                    assert v >= self.a(i - 1, j + 1)
-                if self.has_a(i, j):
-                    assert v <= self.a(i, j)
-                if self.has_a(i, j + 1):
-                    assert v >= self.a(i, j + 1)
+        """Raise ValueError unless the rows form a strict pattern: a strictly
+        decreasing top row of length r, and every slice one of _slices_below."""
+        r, arows, brows = self.rank, self.arows, self.brows
+        if not (r >= 1 and len(arows) == len(brows) == r == len(arows[0])
+                and _strictly_decreasing(arows[0])):
+            raise ValueError(f"no rank-{r} pattern has the rows {arows}, {brows}")
+        for rows in slice_rows(arows, brows):
+            if not _is_slice(*rows):
+                raise ValueError(f"{rows} is not a slice of a strict pattern")
 
     # -- decorations -------------------------------------------------------
 
     @cached_property
     def slices(self) -> tuple:
         """slices[i-1] = rows a_{i-1}, b_i, a_i as a ShortGTPattern of rank r-i+1."""
-        r, arows, brows = self.rank, self.arows, self.brows
         return tuple([
-            _slice(r - i, arows[i], brows[i], arows[i + 1] if i + 1 < r else ())
-            for i in range(r)
+            _slice(len(a0), a0, b, a1)
+            for a0, b, a1 in slice_rows(self.arows, self.brows)
         ])
 
     def classify(self) -> dict:
@@ -280,6 +255,9 @@ def _interleavings(upper, length, last_floor=0):
     below by upper[k+1] when that exists, else 0; the final slot is bounded
     below by ``last_floor``.
     """
+    if not length:  # below a one-entry row; saves a generator per leaf
+        yield ()
+        return
 
     def rec(k, prefix):
         if k == length:
@@ -299,43 +277,56 @@ def _interleavings(upper, length, last_floor=0):
     yield from rec(0, [])
 
 
+def _is_slice(a0, b, a1) -> bool:
+    """Whether (b, a1) is one of _slices_below(a0)."""
+    return (
+        len(b) == len(a0) == len(a1) + 1
+        and _strictly_decreasing(b) and _strictly_decreasing(a1)
+        and all(hi >= v >= lo for hi, v, lo in zip(a0, b, (*a0[1:], 0)))
+        and all(hi >= v >= lo for hi, v, lo in zip(b, a1, b[1:]))
+        and (not a1 or a1[-1] >= 1)
+    )
+
+
+def _slices_below(arow):
+    """(b, a1) of every slice (arow, b, a1) of a strict pattern; descending lex.
+
+    b fits below the a-row, a1 below b, and a1 ends positively (the
+    pattern-side diagonal condition); a1 is empty below a one-entry a-row.
+    """
+    n = len(arow)
+    for b in _interleavings(arow, n):
+        for a1 in _interleavings(b, n - 1, last_floor=1):
+            yield b, a1
+
+
 def enumerate_strict(mu):
     """All strict interleaving patterns with top row built from mu.
 
     Deterministic order: row-major, entries descending.  The stream is empty
     when the top row itself is not strictly decreasing.
     """
-    mu = tuple(mu)
-    r = len(mu)
     top = top_row(mu)
+    r = len(top)
     if not _strictly_decreasing(top):
         return
 
-    def rec(rows_a, rows_b, upper, next_is_b):
-        if len(rows_b) == r:
-            yield GTPattern(r, tuple(rows_a), tuple(rows_b))
-            return
-        length = len(upper) if next_is_b else len(upper) - 1
-        floor = 0 if next_is_b else 1  # a-rows below the top end positively
-        for row in _interleavings(upper, length, last_floor=floor):
-            if next_is_b:
-                yield from rec(rows_a, rows_b + [row], row, False)
+    def rec(arows, brows):
+        for b, a1 in _slices_below(arows[-1]):
+            if a1:
+                yield from rec(arows + (a1,), brows + (b,))
             else:
-                yield from rec(rows_a + [row], rows_b, row, True)
+                yield GTPattern(r, arows, brows + (b,))
 
-    yield from rec([top], [], top, True)
+    yield from rec((top,), ())
 
 
 def enumerate_short(muprime):
     """All strict three-row interleaving arrays with top row from muprime."""
-    muprime = tuple(muprime)
-    r = len(muprime)
     top = top_row(muprime)
-    if not _strictly_decreasing(top):
-        return
-    for b1 in _interleavings(top, r):
-        for a1 in _interleavings(b1, r - 1, last_floor=1):
-            yield ShortGTPattern(r, top, b1, a1)
+    if _strictly_decreasing(top):
+        for b1, a1 in _slices_below(top):
+            yield ShortGTPattern(len(top), top, b1, a1)
 
 
 # -- the circle subset ------------------------------------------------------
@@ -406,15 +397,13 @@ def slice_walk(top, score, join, leaf) -> dict:
     def below(arow):
         if arow in memo:
             return memo[arow]
-        n = len(arow)
         by_a1 = {}  # slice tallies grouped by the next a-row
-        for b in _interleavings(arow, n):
-            for a1 in _interleavings(b, n - 1, last_floor=1):
-                key = score(arow, b, a1)
-                if key is None:
-                    continue
-                tally = by_a1.setdefault(a1, {})
-                tally[key] = tally.get(key, 0) + 1
+        for b, a1 in _slices_below(arow):
+            key = score(arow, b, a1)
+            if key is None:
+                continue
+            tally = by_a1.setdefault(a1, {})
+            tally[key] = tally.get(key, 0) + 1
         out = {}
         for a1, tally in by_a1.items():
             rest = below(a1)
@@ -512,9 +501,8 @@ def tokuyama_rhs(lam, r: int = None) -> LaurentPoly:
     cross-checked on all of them.  lam must be dominant of rank r.
     """
     lam = dominant(lam, r)
-    mu = tuple(l + 1 for l in lam)
     terms = {}
-    for (wt, nmax, max1, gen), count in circle_sum(upsilon(mu)).items():
+    for (wt, nmax, max1, gen), count in circle_sum(shifted_weight(lam)).items():
         zexp = tuple(-w for w in wt)  # doubled exponent of -wt/2
         add_g_terms(terms, zexp, count, nmax, max1, gen)
     return LaurentPoly._make(terms, len(lam))

@@ -87,6 +87,11 @@ def upsilon(mu) -> tuple:
     return tuple(2 * m for m in mu[:-1]) + (mu[-1],)
 
 
+def shifted_weight(lam) -> tuple:
+    """The doubled shifted weight v(lam + rho) = upsilon(lam + 1)."""
+    return upsilon(l + 1 for l in lam)
+
+
 def upsilon_inverse(mu) -> tuple:
     mu = tuple(mu)
     if any(m % 2 for m in mu[:-1]):

@@ -6,10 +6,11 @@ diagram, row L starting at diagonal column L, filled from the alphabet
 as 2m, so the alphabet order is integer order).  Entries weakly increase
 along rows and down columns and strictly increase along diagonals.
 
-The pattern bijection reads, for each row L and value m, the counts
-N_L(m') and N_L(m) of cells with entry <= m' (resp. <= m) directly off the
-pattern: N_L(m) = a_{r-m, L+r-m} and N_L(m') = b_{r-m+1, L+r-m}, missing
-entries counting 0.
+The pattern bijection is one count map (count_rows): for each row L and
+value m, the counts N_L(m') and N_L(m) of cells with entry <= m' (resp.
+<= m) are the pattern entries N_L(m) = a_{r-m, L+r-m} and N_L(m') =
+b_{r-m+1, L+r-m}, missing entries counting 0.  to_gt builds its pattern
+from the count rows and from_gt inverts them.
 
 Ribbon strips here are per-value: the cells holding one fixed symbol,
 with horizontal/vertical cell adjacency; str(S) totals their connected
@@ -19,14 +20,15 @@ tableaux to pattern statistics.
 
 Every statistic is a sum over symbols of a share read off one strip: the
 cells holding m' and m lie between the shifted shapes <= m-1, <= m' and
-<= m, which are the pattern rows a_{r-m+1}, b_{r-m+1} and a_{r-m}.  In
-one row the cells of one symbol form a single run, and runs of adjacent
-rows are connected exactly when their columns overlap, so components are
+<= m, which are the count rows a_{r-m+1}, b_{r-m+1} and a_{r-m}, so the
+strip of m is the pattern slice (a_{r-m}, b_{r-m+1}, a_{r-m+1}).  In one
+row the cells of one symbol form a single run, and runs of adjacent rows
+are connected exactly when their columns overlap, so components are
 counted from runs.  score_strip (cached) gives a symbol's share, both
-circle conditions for it included; statistics and in_st_circle read the
-strips off a tableau's rows, and corollary_rhs sums over chains of shapes
-with gtpatterns.slice_walk, scoring each strip once and never touching
-the pattern statistics.  The enumeration sum stays as the oracle
+circle conditions for it included; symbol_strips scores the slices of a
+tableau's count rows, and corollary_rhs sums over chains of shapes with
+gtpatterns.slice_walk, scoring the same slices once each and never
+touching the pattern statistics.  The enumeration sum stays as the oracle
 _corollary_rhs_by_enumeration.
 """
 
@@ -39,10 +41,10 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .gtpatterns import (
-    GTPattern, add_weight_terms, enumerate_strict, slice_walk, top_row,
+    GTPattern, add_weight_terms, enumerate_strict, slice_rows, slice_walk, top_row,
 )
 from .laurent import LaurentPoly
-from .rootdata import dominant, upsilon
+from .rootdata import dominant, shifted_weight
 
 
 def barred(m: int) -> int:
@@ -73,28 +75,22 @@ class Tableau:
                 yield (li + 1, li + 1 + ci, code)  # (row, absolute column, code)
 
     def validate(self) -> None:
+        """Raise ValueError unless the filling is a symplectic shifted tableau."""
         shape = self.shape
-        assert all(
-            shape[k] > shape[k + 1] for k in range(len(shape) - 1)
-        ), "row lengths must strictly decrease"
+        if any(shape[k] <= shape[k + 1] for k in range(len(shape) - 1)):
+            raise ValueError("row lengths must strictly decrease")
         for li, row in enumerate(self.rows):
-            if row:  # diagonal condition: row L starts with L' or L
-                assert barred(li + 1) <= row[0] <= unbarred(li + 1), "diagonal entry"
+            # diagonal condition: row L starts with L' or L
+            if row and not barred(li + 1) <= row[0] <= unbarred(li + 1):
+                raise ValueError(f"row {li + 1} starts off its diagonal symbols")
         grid = {(row, col): code for row, col, code in self.cells()}
         for (row, col), code in grid.items():
-            assert 1 <= code <= 2 * self.rank
-            right = grid.get((row, col + 1))
-            below = grid.get((row + 1, col))
-            diag = grid.get((row + 1, col + 1))
-            if right is not None:
-                assert code <= right, "rows weakly increase"
-            if below is not None:
-                assert code <= below, "columns weakly increase"
-            if diag is not None:
-                assert code < diag, "diagonals strictly increase"
-
-    def row_counts(self, code: int) -> list:
-        return [sum(1 for c in row if c == code) for row in self.rows]
+            if not 1 <= code <= 2 * self.rank:
+                raise ValueError(f"entry code {code} outside the alphabet")
+            if code > min(grid.get((row, col + 1), code), grid.get((row + 1, col), code)):
+                raise ValueError("rows and columns must weakly increase")
+            if code >= grid.get((row + 1, col + 1), code + 1):
+                raise ValueError("diagonals must strictly increase")
 
     def components(self, code: int) -> list:
         """Connected components (edge adjacency) of the cells holding code.
@@ -141,54 +137,45 @@ class TableauStats:
     l_total: int
 
 
+def count_rows(s: Tableau) -> tuple:
+    """The pattern rows (arows, brows) counted off s: the count map.
+
+    Row a_{r-m} holds N_L(m) and row b_{r-m+1} holds N_L(m'), the cells of
+    row L = 1..m with entry <= m (resp. <= m'); missing rows count 0.
+    Raises ValueError when a row starts below its diagonal symbol L'.
+    """
+    r, rows = s.rank, s.rows
+    for li, row in enumerate(rows):
+        if row and row[0] < barred(li + 1):
+            raise ValueError(f"row {li + 1} holds a symbol below {li + 1}'")
+    rows = tuple(rows) + ((),) * (r - len(rows))  # missing rows count 0
+    ms = range(r, 0, -1)
+    return (
+        tuple([tuple([bisect_right(row, unbarred(m)) for row in rows[:m]]) for m in ms]),
+        tuple([tuple([bisect_right(row, barred(m)) for row in rows[:m]]) for m in ms]),
+    )
+
+
 def from_gt(p: GTPattern) -> Tableau:
-    """The tableau whose cumulative row counts match the pattern entries."""
-    r = p.rank
-
-    def count_to(level_row, m, bar):
-        # N_L(m') = b_{r-m+1, L+r-m};  N_L(m) = a_{r-m, L+r-m};  0 when absent.
-        if m < level_row or m < 1:
-            return 0
-        if bar:
-            return p.b(r - m + 1, level_row + r - m)
-        return p.a(r - m, level_row + r - m)
-
+    """The tableau whose count rows are the pattern's rows."""
+    r, arows, brows = p.rank, p.arows, p.brows
     rows = []
-    for level in range(1, r + 1):
+    for li in range(r):  # row L = li + 1 holds the symbols m >= L
         row = []
-        for m in range(level, r + 1):
-            nbar = count_to(level, m, True)
-            nprev = count_to(level, m - 1, False)
-            nfull = count_to(level, m, False)
+        nprev = 0  # N_L(m-1)
+        for m in range(li + 1, r + 1):
+            nbar, nfull = brows[r - m][li], arows[r - m][li]
             row.extend([barred(m)] * (nbar - nprev))
             row.extend([unbarred(m)] * (nfull - nbar))
+            nprev = nfull
         if row:
             rows.append(tuple(row))
     return Tableau(r, tuple(rows))
 
 
-def to_gt(s: Tableau, r: int = None) -> GTPattern:
-    """Inverse of from_gt; raises if the counts do not form a valid pattern."""
-    if r is None:
-        r = s.rank
-
-    def n_of(level_row, code):
-        if level_row - 1 >= len(s.rows):
-            return 0
-        return sum(1 for c in s.rows[level_row - 1] if c <= code)
-
-    arows = []
-    for i in range(r):
-        lo = 1 if i == 0 else i + 1
-        arows.append(
-            tuple(n_of(j - i, unbarred(r - i)) for j in range(lo, r + 1))
-        )
-    brows = []
-    for i in range(1, r + 1):
-        brows.append(
-            tuple(n_of(j - i + 1, barred(r - i + 1)) for j in range(i, r + 1))
-        )
-    p = GTPattern(r, tuple(arows), tuple(brows))
+def to_gt(s: Tableau) -> GTPattern:
+    """Inverse of from_gt; ValueError if the counts form no valid pattern."""
+    p = GTPattern(s.rank, *count_rows(s))
     p.validate()
     return p
 
@@ -266,22 +253,10 @@ def score_strip(hi: tuple, mid: tuple, lo: tuple) -> Strip:
 
 
 def symbol_strips(s: Tableau) -> tuple:
-    """strips[m-1] = score_strip of symbol m, its runs read off s.rows."""
-    r = s.rank
-    codes = range(2 * r + 1)
-    cum = []
-    for li, row in enumerate(s.rows):
-        if row and row[0] < barred(li + 1):
-            raise ValueError(f"row {li + 1} holds a symbol below {li + 1}'")
-        cum.append([bisect_right(row, c) for c in codes])
-    cum += [[0] * len(codes)] * (r - len(cum))
-    cols = list(zip(*cum))  # cols[c][L-1] = cells of row L holding a code <= c
-    return tuple(
-        score_strip(
-            cols[unbarred(m)][:m], cols[barred(m)][:m], cols[unbarred(m - 1)][:m - 1]
-        )
-        for m in range(1, r + 1)
-    )
+    """strips[m-1] = score_strip of symbol m, over the slices of s's count rows
+    (slice i is the strip of symbol r - i + 1)."""
+    strips = [score_strip(*rows) for rows in slice_rows(*count_rows(s))]
+    return tuple(reversed(strips))
 
 
 def in_st_circle(s: Tableau) -> bool:
@@ -356,7 +331,7 @@ def corollary_rhs(lam, r: int = None) -> LaurentPoly:
     the chain by gtpatterns.slice_walk.  lam must be dominant of rank r.
     """
     lam = dominant(lam, r)
-    top = top_row(upsilon(tuple(l + 1 for l in lam)))
+    top = top_row(shifted_weight(lam))
     terms = {}
     chains = slice_walk(top, _strip_key, _join_strip_keys, ((), 0, 0, 0))
     for (wt, t, l_parity, str_total), count in chains.items():
@@ -367,9 +342,8 @@ def corollary_rhs(lam, r: int = None) -> LaurentPoly:
 def _corollary_rhs_by_enumeration(lam, r: int = None) -> LaurentPoly:
     """corollary_rhs by enumerating every pattern and tableau (the oracle)."""
     lam = dominant(lam, r)
-    mu = tuple(l + 1 for l in lam)
     total = LaurentPoly.zero(len(lam))
-    for p in enumerate_strict(upsilon(mu)):
+    for p in enumerate_strict(shifted_weight(lam)):
         s = from_gt(p)
         if not in_st_circle(s):
             continue

@@ -30,7 +30,7 @@ from functools import lru_cache
 from .gtpatterns import tokuyama_rhs, top_row
 from .laurent import LaurentPoly, Monomial
 from .padic import cqc_layer_sums
-from .rootdata import character, deformed_denominator, upsilon
+from .rootdata import character, deformed_denominator, shifted_weight
 
 _Q0 = LaurentPoly.zero(0)
 
@@ -93,14 +93,14 @@ def h_table(lam: tuple) -> dict:
     if r == 1:
         return {(k,): h_base(k, lam[0]) for k in range(lam[0] + 2)}
     table = {}
-    for kp, gsum in cqc_layer_sums(upsilon(tuple(l + 1 for l in lam))).items():
+    for kp, gsum in cqc_layer_sums(shifted_weight(lam)).items():
         if any(kp[i] % 2 for i in range(r - 1)):
             continue  # redundant on the support; kept as the outer-sum filter
         nu = _nu_shift(lam, kp)
         if any(x < 0 for x in nu):
             NEGATIVE_NU_EVENTS.append((lam, kp))
             continue
-        assert upsilon(tuple(n + 1 for n in nu)) == _mu_second(lam, kp)
+        assert shifted_weight(nu) == _mu_second(lam, kp)
         layer = gsum.shift(Monomial((), 0, 2 * (kp[r - 1] + sum(kp[: r - 1]) // 2)))
         for ksub, hsub in h_table(nu).items():
             k = (
@@ -176,7 +176,7 @@ def _bridge(claim: str, lam: tuple, poly: LaurentPoly) -> CheckResult:
     rebuild ``poly`` exactly.
     """
     r = len(lam)
-    a0 = top_row(upsilon(tuple(l + 1 for l in lam)))
+    a0 = top_row(shifted_weight(lam))
     result = CheckResult(claim, {"lambda": list(lam), "rank": r})
 
     # The polynomial split by k: each part keeps its (t, q) exponents only.

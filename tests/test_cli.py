@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -112,6 +113,21 @@ def test_enumerate_gt_counts_match_tableaux():
     tb = run("enumerate", "tableaux", "--mu", "2,2")
     assert gt.returncode == 0 and tb.returncode == 0
     assert len(gt.stdout.splitlines()) == len(tb.stdout.splitlines())
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        ("gt", "a8393f2d8b913e5cb7c78a92e250e8bb6624820f6a7c0b895004eaa8a56b8e82"),
+        ("tableaux", "2a5e5d21a1e3beb90f5fd4e85c8c0f79ab7feabfbf6a41638e6020c43f8946c6"),
+    ],
+)
+def test_enumerate_streams_are_byte_stable(kind, digest):
+    # the dump contract: 3,640 records whose bytes no refactor may change
+    out = run("enumerate", kind, "--mu", "2,2,1")
+    assert out.returncode == 0
+    assert out.stdout.count("\n") == 3640
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
 def test_enumerate_zero_mu():

@@ -166,9 +166,27 @@ def test_transfer_keeps_odd_max1_guard(monkeypatch):
 
 def test_diagonal_condition_enforced():
     # interleaving alone would admit (4,2 / 4,0 / 0 / 0); the family must not
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         GTPattern(2, ((4, 2), (0,)), ((4, 0), (0,))).validate()
     assert all(p.arows[1][-1] >= 1 for p in enumerate_strict((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "arows, brows",
+    [
+        (((4, 2),), ((4, 0), (0,))),  # one a-row short
+        ((), ()),  # no rows at all
+        (((4, 2), (1, 0)), ((3, 1), (0,))),  # a_1 too long
+        (((2, 2), (1,)), ((2, 1), (1,))),  # top row not strictly decreasing
+        (((4, 2), (1,)), ((4, 3), (0,))),  # b_1 above a_{0,2}
+        (((4, 2), (4,)), ((3, 1), (0,))),  # a_1 above b_{1,1}
+        (((4, 2), (1,)), ((3, 1), (2,))),  # b_2 above a_1
+    ],
+)
+def test_validate_rejects_each_slice_violation(arows, brows):
+    GTPattern(2, ((4, 2), (1,)), ((3, 1), (0,))).validate()
+    with pytest.raises(ValueError):
+        GTPattern(2, arows, brows).validate()
 
 
 def tokuyama_identity_holds(lam, r):
@@ -207,10 +225,10 @@ def test_short_patterns_match_full_at_rank1_style():
 
 
 def test_enumerate_short_matches_split_images():
-    mu = (2, 2)
-    tops = {split(p)[0] for p in enumerate_strict(mu)}
-    shorts = set(enumerate_short(mu))
-    assert tops <= shorts  # every split image is an admissible short pattern
+    # every admissible short pattern is the top slice of some full pattern
+    for mu in [(2, 2), (3, 1), (2, 2, 1), (4, 3), (1, 1, 1), (2, 1, 2)]:
+        tops = {split(p)[0] for p in enumerate_strict(mu)}
+        assert tops == set(enumerate_short(mu)), mu
 
 
 def test_json_dump_fields():

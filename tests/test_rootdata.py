@@ -10,6 +10,7 @@ from spinchar.rootdata import (
     deformed_denominator,
     lambda_to_evee,
     rho,
+    shifted_weight,
     upsilon,
     upsilon_inverse,
     weyl_dimension,
@@ -35,6 +36,7 @@ def test_upsilon():
     assert upsilon((5,)) == (5,)
     assert upsilon((0, 0, 0)) == (0, 0, 0)
     assert upsilon_inverse((8, 3)) == (4, 3)
+    assert shifted_weight((3, 2)) == upsilon((4, 3)) == (8, 3)
     with pytest.raises(ValueError):
         upsilon_inverse((3, 3))
 

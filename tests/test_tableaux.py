@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from spinchar.gtpatterns import (
     enumerate_strict,
     g_weight,
     in_gt_circle,
+    slice_rows,
     tokuyama_rhs,
 )
 from spinchar.laurent import Monomial
@@ -17,8 +20,10 @@ from spinchar.tableaux import (
     _corollary_rhs_by_enumeration,
     barred,
     corollary_rhs,
+    count_rows,
     from_gt,
     in_st_circle,
+    score_strip,
     statistics,
     symbol_name,
     symbol_strips,
@@ -53,21 +58,21 @@ def test_example_statistics_dictionary():
     assert pst.max1 // 2 == 15 - st.l_total
     assert st.wt == EXAMPLE.wt()
     assert in_st_circle(s)
-    assert to_gt(s, 5) == EXAMPLE
+    assert to_gt(s) == EXAMPLE
 
 
 def test_rank1_bijection_rule():
     p = GTPattern(1, ((5,),), ((2,),))
     s = from_gt(p)
     assert s.rows == ((barred(1),) * 2 + (unbarred(1),) * 3,)
-    assert to_gt(s, 1) == p
+    assert to_gt(s) == p
 
 
 def test_empty_tableau():
     p = GTPattern(1, ((0,),), ((0,),))
     s = from_gt(p)
     assert s.rows == ()
-    assert to_gt(s, 1) == p
+    assert to_gt(s) == p
 
 
 def test_round_trip_and_circle_agreement():
@@ -75,7 +80,7 @@ def test_round_trip_and_circle_agreement():
         for p in enumerate_strict(upsilon(mu)):
             s = from_gt(p)
             s.validate()
-            assert to_gt(s, p.rank) == p
+            assert to_gt(s) == p
             assert in_st_circle(s) == in_gt_circle(p)
 
 
@@ -84,9 +89,8 @@ def test_condition1_violation():
     p = GTPattern(2, ((4, 2), (1,)), ((3, 1), (0,)))
     p.validate()
     s = from_gt(p)
-    counts = s.row_counts(barred(2))
-    counts2 = s.row_counts(unbarred(2))
-    assert (counts[0] + counts2[0]) % 2 == 1
+    row1 = s.rows[0]
+    assert (row1.count(barred(2)) + row1.count(unbarred(2))) % 2 == 1
     assert not in_st_circle(s)
     assert not in_gt_circle(p)
 
@@ -107,14 +111,40 @@ def test_condition2_cuts_lower_barred_cells_off():
 
 
 def test_diagonal_condition_in_validate():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Tableau(2, ((barred(2), barred(2)), (unbarred(2),))).validate()
     # row 2 starts with 1, below 2', so it has no strips either
     low = Tableau(2, ((barred(1), barred(1)), (unbarred(1),)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         low.validate()
     with pytest.raises(ValueError):
         symbol_strips(low)
+
+
+def test_to_gt_raises_without_asserts():
+    # rows (2, 2') do not weakly increase; their counts end a_1 at 0
+    code = (
+        "from spinchar.tableaux import Tableau, to_gt\n"
+        "try:\n"
+        "    to_gt(Tableau(2, ((4, 3),)))\n"
+        "except ValueError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 3, out.stderr
+
+
+@pytest.mark.parametrize("mu", [(2, 2), (3, 1), (2, 1, 1), (2, 2, 1)], ids=str)
+def test_strips_are_scored_off_the_pattern_slices(mu):
+    # the count map inverts from_gt, and symbol m's strip is the slice
+    # (a_{r-m}, b_{r-m+1}, a_{r-m+1}) that corollary_rhs scores
+    for p in enumerate_strict(mu):
+        s = from_gt(p)
+        assert count_rows(s) == (p.arows, p.brows)
+        by_slice = [score_strip(*rows) for rows in slice_rows(p.arows, p.brows)]
+        assert symbol_strips(s) == tuple(reversed(by_slice))
 
 
 def test_term_match_and_aggregate():
