@@ -16,12 +16,16 @@ provides
 
 Conventions pinned here (each validated against the oracle, see tests):
 
-* CQ1(mu) constrains d_i <= mu_i only for i < r and the accumulated bounds
-  d_{2r-i} <= mu_{i+1} + d_i - d_{i+1} for i <= r-2; d_r is unconstrained.
-  The closed form treats the resonant middle (d_{r-1} = d_{r+1}) with
-  d_r > mu_r by the square-sum evaluation, returns the gamma product when
-  d_r <= mu_r and the middle bound d_r <= mu_r + 2(d_{r-1} - d_{r+1})
-  holds, and reports None (oracle-only) in the remaining middle cells.
+* Each flavor writes its caps once, as a table aligned with d: d_i <= cap_i
+  admits an entry and d_i == cap_i boxes it.  Flavor B (_bounds_B) holds
+  d_i against mu_i for i <= r, d_r against the middle cap
+  mu_r + 2(d_{r-1} - d_{r+1}) at entry r+1, and d_{2r-j} against
+  mu_{j+1} + d_j - d_{j+1}.  Flavor C (_caps_C) caps d_j by mu_j and
+  d_{2r-j} by mu_{j+1} + d_j - d_{j+1}, reading only d_1..d_r.
+* CQ1(mu) admits the flavor-B entries i < r and i > r+1.  The closed form
+  treats the resonant middle (d_{r-1} = d_{r+1}) with d_r > mu_r by the
+  square-sum evaluation, returns the gamma product when both middle caps
+  admit d_r, and reports None (oracle-only) in the remaining middle cells.
 * gamma-tilde vanishes on odd entries that are neither boxed nor circled.
 """
 
@@ -134,45 +138,36 @@ def preconditions_hold(t: ShortPatternB) -> bool:
     return True
 
 
+def _bounds_B(t: ShortPatternB) -> list:
+    """(value, cap) of entries 1..2r-1: value <= cap admits, == cap boxes."""
+    r, d, mu = t.r, (0,) + t.d, (0,) + t.mu
+    out = [(d[i], mu[i]) for i in range(1, r + 1)]
+    if r > 1:  # entry r+1 holds d_r against the middle cap
+        out.append((d[r], mu[r] + 2 * (d[r - 1] - d[r + 1])))
+    out += [(d[2 * r - j], mu[j + 1] + d[j] - d[j + 1]) for j in range(r - 2, 0, -1)]
+    return out
+
+
+def _admitted(bounds: list, r: int) -> bool:
+    """CQ1 on a flavor-B table: entries i < r and i > r+1 within their caps."""
+    return all(v <= c for v, c in bounds[: r - 1] + bounds[r + 1 :])
+
+
 def in_cq1(t: ShortPatternB) -> bool:
     """d_i <= mu_i for i < r plus the accumulated third-family bounds."""
-    r, d, mu = t.r, (0,) + t.d, (0,) + t.mu
-    if any(d[i] > mu[i] for i in range(1, r)):
-        return False
-    for i in range(1, r - 1):
-        if d[2 * r - i] > mu[i + 1] + d[i] - d[i + 1]:
-            return False
-    return True
+    return _admitted(_bounds_B(t), t.r)
 
 
-def middle_bound_holds(t: ShortPatternB) -> bool:
-    r, d = t.r, (0,) + t.d
-    return d[r] <= t.mu[r - 1] + 2 * (d[r - 1] - d[r + 1] if r >= 2 else 0)
+def _flags_B(t: ShortPatternB, bounds: list) -> list:
+    """(boxed, circled) of entries 1..2r-1."""
+    return [(v == c, x == 0) for (v, c), x in zip(bounds, t.d)]
 
 
 def decorate_B(t: ShortPatternB) -> DecoratedArray:
     """Accumulated sums c_i = d_i + ... + d_{2r-1} with the flavor-B flags."""
-    r, mu = t.r, (0,) + t.mu
-    d = (0,) + t.d
-    n = 2 * r - 1
-    entries = []
-    acc = 0
-    for i in range(n, 0, -1):
-        acc += d[i]
-        entries.append(acc)
-    entries.reverse()
-    boxed = []
-    circled = []
-    for i in range(1, n + 1):
-        circled.append(d[i] == 0)
-        if i <= r:
-            boxed.append(d[i] == mu[i])
-        elif i == r + 1:
-            boxed.append(d[r] == mu[r] + 2 * (d[r - 1] - d[r + 1]))
-        else:
-            j = 2 * r - i  # 1 <= j <= r-2
-            boxed.append(d[i] == mu[j + 1] + d[j] - d[j + 1])
-    return DecoratedArray(tuple(entries), tuple(boxed), tuple(circled))
+    entries = tuple(itertools.accumulate(reversed(t.d)))[::-1]
+    boxed, circled = zip(*_flags_B(t, _bounds_B(t)))
+    return DecoratedArray(entries, boxed, circled)
 
 
 def _gamma_product(flags, weight=gamma) -> LaurentPoly:
@@ -203,24 +198,25 @@ def closed_form_G(t: ShortPatternB) -> LaurentPoly | None:
     where the bound d_r <= mu_r + 2(d_{r-1} - d_{r+1}) or d_r <= mu_r
     fails; there the oracle is the only route (tested hypothesis: 0).
     """
-    r, d, mu = t.r, (0,) + t.d, (0,) + t.mu
+    r = t.r
     if r < 2:
         raise ValueError("the closed form needs rank >= 2")
-    if not in_cq1(t):
+    bounds = _bounds_B(t)
+    if not _admitted(bounds, r):
         return _Q0
-    if d[r - 1] == d[r + 1]:
-        diff = d[r] - mu[r]
+    (dr, cap), (_, middle) = bounds[r - 1 : r + 1]
+    flags = _flags_B(t, bounds)
+    if middle == cap:  # the resonant middle d_{r-1} = d_{r+1}
+        diff = dr - cap
         if diff <= 0:
-            return g_delta(decorate_B(t))
+            return _gamma_product(flags)
         if diff % 2:
-            arr = decorate_B(t)
-            flags = list(zip(arr.boxed, arr.circled))
             del flags[r - 1 : r + 1]  # the middle pair enters the square sum
             out = _ONE_MINUS_QINV.shift(Monomial((), 0, -2 * ((diff + 1) // 2)))
             return out * _gamma_product(flags)
         return _Q0
-    if middle_bound_holds(t) and d[r] <= mu[r]:
-        return g_delta(decorate_B(t))
+    if dr <= middle and dr <= cap:
+        return _gamma_product(flags)
     return None
 
 
@@ -368,49 +364,43 @@ def _cyclotomic_sum(phase, p: int, cap: int) -> int:
 # -- flavor C ----------------------------------------------------------------
 
 
-def in_cqc(d, muprime) -> bool:
+def _caps_C(d, muprime) -> tuple:
+    """Caps of d_1..d_{2r-1}: mu_j for d_j, mu_{j+1} + d_j - d_{j+1} for
+    d_{2r-j}; only d_1..d_r are read."""
     r = len(muprime)
-    d = (0,) + tuple(d)
-    mu = (0,) + tuple(muprime)
-    if any(d[j] > mu[j] for j in range(1, r + 1)):
-        return False
-    for j in range(1, r):
-        if d[j + 1] + d[2 * r - j] > mu[j + 1] + d[j]:
-            return False
-    return True
+    return tuple(muprime) + tuple(
+        muprime[j] + d[j - 1] - d[j] for j in range(r - 1, 0, -1)
+    )
+
+
+def _tuple_C(d, muprime) -> tuple:
+    """d as a tuple; ValueError unless it has length 2r-1."""
+    d = tuple(d)
+    if len(d) != 2 * len(muprime) - 1:
+        raise ValueError("d must have length 2r-1")
+    return d
+
+
+def in_cqc(d, muprime) -> bool:
+    d = _tuple_C(d, muprime)
+    return all(x <= c for x, c in zip(d, _caps_C(d, muprime)))
 
 
 def delta_c_entries(d, r: int) -> tuple:
     """Entries (c_1, ..., c_r, cbar_{r-1}, ..., cbar_1); d_r enters c_r twice."""
-    d = (0,) + tuple(d)
-    cbar = [0] * r  # cbar[j] for j = 1..r-1
-    acc = 0
-    for j in range(1, r):
-        acc += d[2 * r - j]
-        cbar[j] = acc
-    cr = sum(d[2 * r - i] for i in range(1, r)) + 2 * d[r]
-    cs = [0] * (r + 1)
-    cs[r] = cr
-    for j in range(r - 1, 0, -1):
-        cs[j] = cs[j + 1] + d[j]
-    return tuple(cs[1 : r + 1]) + tuple(cbar[r - 1 : 0 : -1])
+    d = tuple(d)
+    cbar = list(itertools.accumulate(reversed(d[r:]), initial=0))  # cbar_0..cbar_{r-1}
+    # c_r = cbar_{r-1} + 2 d_r, then c_j = c_{j+1} + d_j down to c_1
+    c = itertools.accumulate(reversed(d[: r - 1]), initial=cbar[-1] + 2 * d[r - 1])
+    return tuple(c)[::-1] + tuple(cbar[:0:-1])
 
 
 def decorate_C_literal(d, muprime) -> DecoratedArray:
     """Flavor-C decorations straight from the stated equalities."""
-    r = len(muprime)
-    dd = (0,) + tuple(d)
-    mu = (0,) + tuple(muprime)
-    entries = delta_c_entries(d, r)
-    boxed = []
-    circled = []
-    for j in range(1, r + 1):
-        boxed.append(dd[j] == mu[j])
-        circled.append(dd[j] == 0)
-    for j in range(r - 1, 0, -1):  # positions cbar_{r-1} .. cbar_1
-        boxed.append(dd[j + 1] == mu[j + 1] + dd[j] - dd[2 * r - j])
-        circled.append(dd[2 * r - j] == 0)
-    return DecoratedArray(entries, tuple(boxed), tuple(circled))
+    d = _tuple_C(d, muprime)
+    boxed = tuple(x == c for x, c in zip(d, _caps_C(d, muprime)))
+    circled = tuple(x == 0 for x in d)
+    return DecoratedArray(delta_c_entries(d, len(muprime)), boxed, circled)
 
 
 def short_pattern_of(d, muprime) -> ShortGTPattern:
@@ -481,15 +471,10 @@ def k_vector_C(d, r: int) -> tuple:
 def iter_cqc(muprime):
     """All admissible flavor-C tuples for muprime (finite set)."""
     r = len(muprime)
-    mu = (0,) + tuple(muprime)
-    front = [range(mu[j] + 1) for j in range(1, r + 1)]
-    for head in itertools.product(*front):
-        dd = (0,) + head
-        backs = []
-        for j in range(r - 1, 0, -1):  # d_{2r-j} for positions r+1 .. 2r-1
-            backs.append(range(mu[j + 1] + dd[j] - dd[j + 1] + 1))
-        for tail in itertools.product(*backs):
-            # tail is ordered d_{r+1}, d_{r+2}, ..., d_{2r-1}
+    for head in itertools.product(*(range(m + 1) for m in muprime)):
+        # the tail d_{r+1}, ..., d_{2r-1} ranges up to the caps of the head
+        tails = [range(c + 1) for c in _caps_C(head, muprime)[r:]]
+        for tail in itertools.product(*tails):
             yield head + tail
 
 
@@ -519,15 +504,9 @@ def omega_sets(mu, kind: str, weighting: str = None, k: int = None, i: int = Non
     r = len(mu)
     if i is None:
         i = r
-    rels = {
-        "<": lambda x, m: x < m,
-        "<=": lambda x, m: x <= m,
-        "=": lambda x, m: x == m,
-        ">=": lambda x, m: x >= m,
-        ">": lambda x, m: x > m,
-    }
-    rel = rels[kind]
     bounded = kind in ("<", "<=", "=")
+    if not bounded and kind not in (">=", ">"):
+        raise ValueError(f"unknown kind {kind!r}")
 
     def weight(vec):
         if weighting == "A":
@@ -555,7 +534,7 @@ def omega_sets(mu, kind: str, weighting: str = None, k: int = None, i: int = Non
             if num < 0 or num % coeff:
                 continue
             di = num // coeff
-            if rel(di, mu[i - 1]):
+            if di > mu[i - 1] or (di == mu[i - 1] and kind == ">="):
                 yield head + (di,) + tail
 
 
@@ -585,23 +564,12 @@ def omega_of(s, mu):
     yield from itertools.product(*ranges)
 
 
-def _resonant_flags(dtuple, mu) -> list:
-    """(boxed, circled) pairs of the symmetric lift of an r-tuple."""
-    r = len(mu)
-    return [(dtuple[i] == mu[i], dtuple[i] == 0) for i in range(r)] + [
-        (dtuple[i] == mu[i], dtuple[i - 1] == 0) for i in range(1, r)
-    ]
-
-
-def g_delta_resonant(dtuple, mu) -> LaurentPoly:
-    """Flavor-B product of the symmetric lift of an r-tuple (any r >= 1)."""
-    return _gamma_product(_resonant_flags(tuple(dtuple), tuple(mu)))
-
-
 def lemma3_direct(s, mu) -> LaurentPoly:
+    mu = tuple(mu)
     total = _Q0
     for x in omega_of(s, mu):
-        total = total + g_delta_resonant(x, mu).shift(Monomial((), 0, 2 * sum(x)))
+        g = g_delta(decorate_B(ShortPatternB(mu, resonant_lift(x))))
+        total = total + g.shift(Monomial((), 0, 2 * sum(x)))
     return total
 
 
@@ -612,7 +580,8 @@ def lemma3_closed(s, mu) -> LaurentPoly:
     if s == mu:
         return _Q0
     ib = i_box(s, mu)
-    flags = _resonant_flags(s[:ib], mu[:ib])
+    arr = decorate_B(ShortPatternB(mu[:ib], resonant_lift(s[:ib])))
+    flags = list(zip(arr.boxed, arr.circled))
     if s[ib - 1] > 0:
         del flags[ib - 1]  # the unboxed uncircled factor 1 - q^{-1} is divided out
     return _gamma_product(flags).shift(Monomial((), 0, 2 * (sum(s) - (r - ib))))

@@ -174,8 +174,13 @@ def from_gt(p: GTPattern) -> Tableau:
 
 
 def to_gt(s: Tableau) -> GTPattern:
-    """Inverse of from_gt; ValueError if the counts form no valid pattern."""
+    """Inverse of from_gt; ValueError unless the rows weakly increase, the
+    counts hold every cell and they form a valid pattern."""
+    if any(x > y for row in s.rows for x, y in zip(row, row[1:])):
+        raise ValueError("rows must weakly increase")
     p = GTPattern(s.rank, *count_rows(s))
+    if sum(p.arows[0]) != sum(s.shape):
+        raise ValueError(f"entries must lie in the alphabet 1'..{s.rank}")
     p.validate()
     return p
 

@@ -24,6 +24,7 @@ from spinchar.padic import (
     gamma_tilde,
     i_box,
     in_cq1,
+    in_cqc,
     iter_cq1_with_k,
     iter_cqc,
     k_vector_B,
@@ -81,6 +82,21 @@ def test_decorate_B_example():
     arr = decorate_B(ShortPatternB((2, 2), (0, 0, 0)))
     assert all(arr.circled)
     assert g_delta(arr) == ONE
+
+
+def test_decorate_B_of_the_resonant_lift():
+    # the symmetric lift boxes entry i <= r at x_i = mu_i and entry r+k at
+    # x_{r-k+1} = mu_{r-k+1}; entry r+k is circled at x_{r-k} = 0
+    for mu in [(2,), (1, 2), (2, 1, 3), (1, 1, 2, 1)]:
+        r = len(mu)
+        for x in itertools.product(*(range(m + 2) for m in mu)):
+            arr = decorate_B(ShortPatternB(mu, resonant_lift(x)))
+            assert arr.boxed == tuple(x[i] == mu[i] for i in range(r)) + tuple(
+                x[r - k] == mu[r - k] for k in range(1, r)
+            )
+            assert arr.circled == tuple(v == 0 for v in x) + tuple(
+                x[r - k - 1] == 0 for k in range(1, r)
+            )
 
 
 def test_closed_form_cases():
@@ -211,6 +227,32 @@ def test_delta_c_from_short_pattern():
                 # divergence allowed only where the tuple has no pattern
                 # partner; both weights must then vanish on the pullback
                 assert g_delta_C(pull) == Z
+
+
+def test_flavor_c_caps():
+    # iter_cqc lists exactly the tuples in_cqc admits, and the literal rule
+    # boxes an entry exactly at its cap (the admitted maximum)
+    for mp in [(2, 1), (0, 2), (3, 0, 1), (2, 2, 1)]:
+        r = len(mp)
+        box = itertools.product(range(5), repeat=2 * r - 1)
+        assert list(iter_cqc(mp)) == [d for d in box if in_cqc(d, mp)]
+        for d in iter_cqc(mp):
+            boxed = decorate_C_literal(d, mp).boxed
+            for i, x in enumerate(d):
+                up = d[:i] + (x + 1,) + d[i + 1 :]
+                if i < r:
+                    assert boxed[i] == (x == mp[i])
+                else:  # a tail entry's cap does not move with it
+                    assert boxed[i] == (not in_cqc(up, mp))
+
+
+@pytest.mark.parametrize("d", [(1, 0, 0, 7), (1, 0, 0, 5), (1, 0), ()])
+def test_flavor_c_rejects_wrong_length(d):
+    # a rank-2 tuple has length 3: longer ones are not truncated, shorter
+    # ones raise ValueError rather than IndexError
+    for f in (in_cqc, short_pattern_of, decorate_C_literal, decorate_C_pullback):
+        with pytest.raises(ValueError, match="length"):
+            f(d, (2, 1))
 
 
 def test_g_delta_C_values():

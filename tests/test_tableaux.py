@@ -136,6 +136,28 @@ def test_to_gt_raises_without_asserts():
     assert out.returncode == 3, out.stderr
 
 
+def test_to_gt_accepts_exactly_the_tableaux():
+    # one-row rank-2 fillings of length 3, codes 0..5 (0 and 5 lie outside
+    # the alphabet 1'..2): to_gt converts exactly the 16 tableaux, and
+    # from_gt inverts it; 32 unsorted rows once gave a pattern too
+    rejected = 0
+    for row in itertools.product(range(6), repeat=3):
+        s = Tableau(2, (row,))
+        try:
+            s.validate()
+        except ValueError:
+            with pytest.raises(ValueError):
+                to_gt(s)
+            rejected += 1
+            continue
+        assert from_gt(to_gt(s)) == s
+    assert rejected == 6**3 - 16
+    # a tableau ending in empty rows still converts
+    s = Tableau(3, ((1, 2, 4), (4,), ()))
+    s.validate()
+    assert from_gt(to_gt(s)) == Tableau(3, ((1, 2, 4), (4,)))
+
+
 @pytest.mark.parametrize("mu", [(2, 2), (3, 1), (2, 1, 1), (2, 2, 1)], ids=str)
 def test_strips_are_scored_off_the_pattern_slices(mu):
     # the count map inverts from_gt, and symbol m's strip is the slice
