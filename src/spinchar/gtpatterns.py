@@ -164,11 +164,9 @@ class ShortGTPattern:
     _even: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # One pass: c(a_{1,j}) = sum_{m<j} (b_{1,m} - a_{1,m+1}) is ``ca``,
-        # and c(b_{1,j}) adds ``tail`` = sum_{k>j} (a_{0,k} + a_{1,k}).
         r, a0, b1, a1 = self.rank, self.a0, self.b1, self.a1
+        cb, ca = c_stats(a0, b1, a1)
         entries = {}
-        ca, tail = 0, sum(a0) - a0[0] + sum(a1)
         for j in range(1, r + 1):
             v = b1[j - 1]
             if (v == a0[j]) if j < r else (v == 0):
@@ -177,7 +175,7 @@ class ShortGTPattern:
                 cls = MAXIMAL
             else:
                 cls = GENERIC
-            entries[("b", j)] = (cls, ca + tail)
+            entries[("b", j)] = (cls, cb[j - 1])
             if j >= 2:
                 v = a1[j - 2]
                 if v == b1[j - 1]:
@@ -186,10 +184,7 @@ class ShortGTPattern:
                     cls = MINIMAL
                 else:
                     cls = GENERIC
-                entries[("a", j)] = (cls, ca)
-            if j < r:
-                ca += b1[j - 1] - a1[j - 1]
-                tail -= a0[j] + a1[j - 1]
+                entries[("a", j)] = (cls, ca[j - 2])
         gen = nmax = max1 = 0
         even = True
         for cls, c in entries.values():
@@ -236,6 +231,24 @@ class ShortGTPattern:
 
     def wt1(self) -> int:
         return sum(self.a0) - 2 * sum(self.b1) + sum(self.a1)
+
+
+def c_stats(a0, b1, a1) -> tuple:
+    """The c-statistics ([c(b_{1,1}), ..., c(b_{1,r})], [c(a_{1,2}), ...,
+    c(a_{1,r})]) of the slice (a_0, b_1, a_1), in one pass.
+
+    c(a_{1,j}) = sum_{m<j} (b_{1,m} - a_{1,m+1}), and c(b_{1,j}) adds
+    sum_{k>j} (a_{0,k} + a_{1,k}); empty sums are 0.
+    """
+    cb, ca = [], []
+    c, tail = 0, sum(a0) - a0[0] + sum(a1)
+    for a, b, x in zip(a0[1:], b1, a1):
+        cb.append(c + tail)
+        c += b - x
+        tail -= a + x
+        ca.append(c)
+    cb.append(c + tail)
+    return cb, ca
 
 
 @lru_cache(maxsize=1 << 16)

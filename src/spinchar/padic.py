@@ -27,29 +27,50 @@ Conventions pinned here (each validated against the oracle, see tests):
   square-sum evaluation, returns the gamma product when both middle caps
   admit d_r, and reports None (oracle-only) in the remaining middle cells.
 * gamma-tilde vanishes on odd entries that are neither boxed nor circled.
+* Every gamma / gamma-tilde weight is 0, 1, -q^-1, 1 - q^-1 or q^(-1/2),
+  so a decorated array's weight is 0 or sign q^(-e/2) (1 - q^-1)^gen.
+  _gamma_product counts the triple (sign, e, gen) off one weight table
+  and expands it once.
+* The flavor-C pullback flags are read straight off d: the pattern rows
+  are b_{1,j} = d_j + a_{0,j+1} (b_{1,r} = d_r) and
+  a_{1,j} = b_{1,j} - d_{2r-j}, and _pullback_flags_C states the flag
+  rules once, the parity dictionary checked on every tuple it reads.
+  cqc_layer_sums tallies (k-vector, weight triple) over iter_cqc in one
+  pass and expands each bucket once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+from operator import add
 
 import numpy as np
 
-from .gtpatterns import ShortGTPattern, top_row
+from .gtpatterns import ShortGTPattern, c_stats, top_row
 from .laurent import LaurentPoly, Monomial
 from .rootdata import upsilon
 
 DEFAULT_BUDGET = 10_000_000
 
 _Q0 = LaurentPoly.zero(0)
-_ONE = LaurentPoly.one(0)
-_QINV = LaurentPoly.monomial(0, qexp=-1)
-_ONE_MINUS_QINV = _ONE - _QINV
-_MINUS_QINV = -_QINV
-_QINV_HALF = LaurentPoly.monomial(0, qexp=Fraction(-1, 2))
+_ONE_MINUS_QINV = LaurentPoly.one(0) - LaurentPoly.monomial(0, qexp=-1)
+
+# The weight table.  Every gamma / gamma-tilde value is 0 (None) or
+# sign * q^(-e/2) * (1 - q^-1)^gen, kept as the triple (sign, e, gen):
+# 1, -q^-1, 1 - q^-1 and q^(-1/2).  gamma-tilde is gamma on even entries;
+# on odd entries boxed gives q^(-1/2) and generic vanishes.
+_GAMMA = {
+    (True, True): None,
+    (True, False): (-1, 2, 0),
+    (False, True): (1, 0, 0),
+    (False, False): (1, 0, 1),
+}
+_GAMMA_ODD = {**_GAMMA, (True, False): (1, 1, 0), (False, False): None}
 
 
 class BudgetExceededError(RuntimeError):
@@ -87,25 +108,45 @@ class DecoratedArray:
     circled: tuple
 
 
+def _gamma_weight(boxed: bool, circled: bool):
+    return _GAMMA[boxed, circled]
+
+
+def _gamma_tilde_weight(boxed: bool, circled: bool, entry: int):
+    return (_GAMMA_ODD if entry % 2 else _GAMMA)[boxed, circled]
+
+
+def _count_weights(flags, weight):
+    """The triple (sign, e, gen) of the product of weight(*f) over the flag
+    tuples f, or None at the first zero factor."""
+    sign, e, gen = 1, 0, 0
+    for f in flags:
+        w = weight(*f)
+        if w is None:
+            return None
+        sign *= w[0]
+        e += w[1]
+        gen += w[2]
+    return sign, e, gen
+
+
+def _expand(counts) -> LaurentPoly:
+    """The sum of n * sign q^(-e/2) (1 - q^-1)^gen over the pairs
+    ((sign, e, gen), n) of counts, expanded once per triple."""
+    terms = {}
+    for (sign, e, gen), n in counts:
+        for i in range(gen + 1):
+            key = (0, -e - 2 * i)
+            terms[key] = terms.get(key, 0) + (-1) ** i * comb(gen, i) * sign * n
+    return LaurentPoly._make({m: c for m, c in terms.items() if c}, 0)
+
+
 def gamma(boxed: bool, circled: bool) -> LaurentPoly:
-    if boxed and circled:
-        return _Q0
-    if boxed:
-        return _MINUS_QINV
-    if circled:
-        return _ONE
-    return _ONE_MINUS_QINV
+    return _gamma_product([(boxed, circled)])
 
 
 def gamma_tilde(boxed: bool, circled: bool, entry: int) -> LaurentPoly:
-    if boxed and circled:
-        return _Q0
-    if circled:
-        return _ONE
-    if entry % 2 == 0:
-        return _MINUS_QINV if boxed else _ONE_MINUS_QINV
-    # Odd entries: boxed gives the square-root weight, generic vanishes.
-    return _QINV_HALF if boxed else _Q0
+    return _gamma_product([(boxed, circled, entry)], _gamma_tilde_weight)
 
 
 # -- flavor B ----------------------------------------------------------------
@@ -170,15 +211,12 @@ def decorate_B(t: ShortPatternB) -> DecoratedArray:
     return DecoratedArray(entries, boxed, circled)
 
 
-def _gamma_product(flags, weight=gamma) -> LaurentPoly:
-    """Product of weight(*f) over the flag tuples f: gamma over (boxed,
-    circled) pairs by default; stops at the first zero factor."""
-    out = _ONE
-    for f in flags:
-        out = out * weight(*f)
-        if not out:
-            return _Q0
-    return out
+def _gamma_product(flags, weight=_gamma_weight) -> LaurentPoly:
+    """Product of the weights of the flag tuples f: gamma over (boxed,
+    circled) pairs by default.  The factors are counted, not multiplied,
+    and the product is expanded once."""
+    w = _count_weights(flags, weight)
+    return _Q0 if w is None else _expand([(w, 1)])
 
 
 def g_delta(arr: DecoratedArray) -> LaurentPoly:
@@ -403,57 +441,65 @@ def decorate_C_literal(d, muprime) -> DecoratedArray:
     return DecoratedArray(delta_c_entries(d, len(muprime)), boxed, circled)
 
 
+def _rows_C(d: tuple, a0: tuple) -> tuple:
+    """Rows (b_1, a_1) of the three-row pattern of d under the top row a_0:
+    b_{1,j} = d_j + a_{0,j+1} for j < r, b_{1,r} = d_r, and
+    a_{1,j} = b_{1,j} - d_{2r-j}."""
+    r = len(a0)
+    b1 = tuple(map(add, d, a0[1:])) + (d[r - 1],)
+    return b1, tuple([b1[j] - d[2 * r - 2 - j] for j in range(r - 1)])
+
+
 def short_pattern_of(d, muprime) -> ShortGTPattern:
     """Inverse of the three-row bijection: rebuild (a_0, b_1, a_1) from d."""
-    r = len(muprime)
     if not in_cqc(d, muprime):
         raise ValueError(f"{d} is not in the admissible set for {muprime}")
     a0 = top_row(muprime)
-    dd = (0,) + tuple(d)
-    b1 = [dd[j] + a0[j] for j in range(1, r)] + [dd[r]]
-    a1 = [b1[j - 1] - dd[2 * r - j] for j in range(1, r)]
-    return ShortGTPattern(r, tuple(a0), tuple(b1), tuple(a1))
+    return ShortGTPattern(len(a0), a0, *_rows_C(tuple(d), a0))
+
+
+def _pullback_flags_C(d: tuple, a0: tuple) -> list:
+    """(boxed, circled, entry) of c_1, ..., c_r, cbar_{r-1}, ..., cbar_1,
+    read off the pattern rows of an admitted d under the top row a_0.
+
+    boxed = the pattern entry satisfies its maximality equation, circled =
+    its minimality equation, tested independently (an entry equal to both
+    neighbours is boxed and circled at once).
+    """
+    r = len(a0)
+    b1, a1 = _rows_C(d, a0)
+    entries = delta_c_entries(d, r)
+    # Parity dictionary: entry parities match the pattern statistics,
+    # c(b_{1,j}) = c_j mod 2 and c(a_{1,j+1}) = cbar_j.
+    cb, ca = c_stats(a0, b1, a1)
+    assert all((x - c) % 2 == 0 for x, c in zip(cb, entries))
+    assert ca == list(entries[: r - 1 : -1])
+    # c_j <-> b_{1,j}, minimal against a_{0,j+1} (0 past the row's end)
+    right = a0[1:] + (0,)
+    out = [(x == a, x == b, e) for a, b, x, e in zip(a0, right, b1, entries)]
+    # cbar_j <-> a_{1,j+1}.  Beyond the minimality equation, equality with
+    # the right neighbour (0 past the row's end) never fires on strict rows:
+    # it is a row failure, or a vanishing last entry (the diagonal
+    # condition).  Either way the tuple belongs to no pattern and drops out.
+    right = a1[1:] + (0,)
+    for j in range(r - 2, -1, -1):
+        x = a1[j]
+        out.append((x == b1[j + 1], x == b1[j] or x == right[j], entries[2 * r - 2 - j]))
+    return out
 
 
 def decorate_C_pullback(d, muprime) -> DecoratedArray:
-    """Flavor-C decorations pulled back from the three-row pattern.
-
-    boxed = the corresponding pattern entry satisfies its maximality
-    equation, circled = its minimality equation, tested independently (an
-    entry equal to both neighbours is boxed and circled at once).  This is
-    the authoritative decoration; the literal rules are compared against
-    it exhaustively in the tests.
-    """
-    r = len(muprime)
-    p1 = short_pattern_of(d, muprime)
-    a0, b1, a1 = p1.a0, p1.b1, p1.a1
-    entries = delta_c_entries(d, r)
-    boxed = []
-    circled = []
-    for j in range(1, r + 1):  # c_j <-> b_{1,j}
-        boxed.append(b1[j - 1] == a0[j - 1])
-        circled.append(b1[j - 1] == a0[j] if j < r else b1[r - 1] == 0)
-    for j in range(r - 1, 0, -1):  # cbar_j <-> a_{1,j+1}
-        boxed.append(a1[j - 1] == b1[j])
-        # Beyond the minimality equation, two clauses that never fire on
-        # strict rows: a vanishing last bottom-row entry (the diagonal
-        # condition) and equality with the right neighbour (row failure).
-        # Either way the tuple belongs to no pattern and must drop out.
-        circled.append(
-            a1[j - 1] == b1[j - 1]
-            or (j == r - 1 and a1[j - 1] == 0)
-            or (j <= r - 2 and a1[j - 1] == a1[j])
-        )
-    # Parity dictionary: entry parities match the pattern statistics.
-    for j in range(1, r + 1):
-        assert (p1.c_stat("b", j) - entries[j - 1]) % 2 == 0
-    for j in range(1, r):
-        assert p1.c_stat("a", j + 1) == entries[2 * r - 1 - j]
-    return DecoratedArray(entries, tuple(boxed), tuple(circled))
+    """Flavor-C decorations pulled back from the three-row pattern (see
+    _pullback_flags_C).  This is the authoritative decoration; the literal
+    rules are compared against it exhaustively in the tests."""
+    if not in_cqc(d, muprime):
+        raise ValueError(f"{d} is not in the admissible set for {muprime}")
+    boxed, circled, entries = zip(*_pullback_flags_C(tuple(d), top_row(muprime)))
+    return DecoratedArray(entries, boxed, circled)
 
 
 def g_delta_C(arr: DecoratedArray) -> LaurentPoly:
-    return _gamma_product(zip(arr.boxed, arr.circled, arr.entries), gamma_tilde)
+    return _gamma_product(zip(arr.boxed, arr.circled, arr.entries), _gamma_tilde_weight)
 
 
 def k_vector_C(d, r: int) -> tuple:
@@ -480,16 +526,19 @@ def iter_cqc(muprime):
 
 @lru_cache(maxsize=None)
 def cqc_layer_sums(muprime: tuple):
-    """Map k-vector -> exact sum of the flavor-C products over its fiber."""
-    r = len(muprime)
-    acc = {}
+    """Map k-vector -> exact sum of the flavor-C products over its fiber.
+
+    One pass tallies the weight triples (sign, e, gen) of the pulled-back
+    flags per k-vector; each bucket is expanded once.
+    """
+    r, a0 = len(muprime), top_row(muprime)
+    buckets = {}
     for d in iter_cqc(muprime):
-        val = g_delta_C(decorate_C_pullback(d, muprime))
-        if not val:
-            continue
-        key = k_vector_C(d, r)
-        acc[key] = acc.get(key, _Q0) + val
-    return {k: v for k, v in acc.items() if v}
+        w = _count_weights(_pullback_flags_C(d, a0), _gamma_tilde_weight)
+        if w is not None:
+            buckets.setdefault(k_vector_C(d, r), Counter())[w] += 1
+    sums = {k: _expand(counts.items()) for k, counts in buckets.items()}
+    return {k: v for k, v in sums.items() if v}
 
 
 # -- totally resonant machinery ----------------------------------------------

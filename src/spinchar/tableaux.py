@@ -76,9 +76,10 @@ class Tableau:
 
     def validate(self) -> None:
         """Raise ValueError unless the filling is a symplectic shifted tableau."""
-        shape = self.shape
+        # The shape, padded with zeros to length r, is the pattern's top row.
+        shape = self.shape + (0,) * (self.rank - len(self.rows))
         if any(shape[k] <= shape[k + 1] for k in range(len(shape) - 1)):
-            raise ValueError("row lengths must strictly decrease")
+            raise ValueError("row lengths, padded to the rank, must strictly decrease")
         for li, row in enumerate(self.rows):
             # diagonal condition: row L starts with L' or L
             if row and not barred(li + 1) <= row[0] <= unbarred(li + 1):

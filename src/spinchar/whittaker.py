@@ -4,9 +4,11 @@ The rank-one value is the classical Ramanujan-sum evaluation; higher ranks
 come from one forward pass of the layer recursion per weight: flavor-C
 decorated sums over the top layer (bucketed by weighting vector) times the
 rank r-1 table at a shifted dominant weight.  h_table(lambda) holds every
-k the pass reaches; h_coeff and h_support read it.  All values are exact
-Laurent polynomials in q; the flat normalization divides by
-q^(k_1 + ... + k_r).
+k the pass reaches; h_coeff and h_support read it.  Each entry is summed
+in place on one {q exponent: coefficient} map and becomes a polynomial
+once.  All values are exact Laurent polynomials in q; the flat
+normalization divides by q^(k_1 + ... + k_r).  The layer sums are counted
+weight triples (see padic), expanded once per weighting vector.
 
 The recursion filters the layer vectors k' to have even entries before the
 last coordinate; the filter is redundant on the support (tested) since the
@@ -15,11 +17,12 @@ the dominant cone contribute nothing; any such nonzero layer is recorded in
 NEGATIVE_NU_EVENTS (none are expected).
 
 The two coefficient bridges read H off the two sides of the deformed
-denominator identity at t = -1/q: prop3 off D(z; -1/q) chi_lambda, gh off
-the circle-pattern sum tokuyama_rhs(lambda).  Both are one check, _bridge,
-which splits a (z, q) polynomial by k through the one map _k_of_z / _z_of_k
-between k and the doubled z-exponent (= minus the pattern weight), compares
-each part with the flat coefficient and rebuilds the polynomial from them.
+denominator identity at t = -1/q (a direct map of the keys): prop3 off
+D(z; -1/q) chi_lambda, gh off the circle-pattern sum tokuyama_rhs(lambda).
+Both are one check, _bridge, which splits a (z, q) polynomial by k through
+the one map _k_of_z / _z_of_k between k and the doubled z-exponent (= minus
+the pattern weight), compares each part with the flat coefficient and
+rebuilds the polynomial from them.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def h_table(lam: tuple) -> dict:
     r = len(lam)
     if r == 1:
         return {(k,): h_base(k, lam[0]) for k in range(lam[0] + 2)}
-    table = {}
+    acc = {}  # k -> {doubled q exponent: coefficient}, summed in place
     for kp, gsum in cqc_layer_sums(shifted_weight(lam)).items():
         if any(kp[i] % 2 for i in range(r - 1)):
             continue  # redundant on the support; kept as the outer-sum filter
@@ -101,15 +104,24 @@ def h_table(lam: tuple) -> dict:
             NEGATIVE_NU_EVENTS.append((lam, kp))
             continue
         assert shifted_weight(nu) == _mu_second(lam, kp)
-        layer = gsum.shift(Monomial((), 0, 2 * (kp[r - 1] + sum(kp[: r - 1]) // 2)))
+        shift = 2 * (kp[r - 1] + sum(kp[: r - 1]) // 2)
+        layer = [(q + shift, c) for (_, q), c in gsum.terms.items()]
         for ksub, hsub in h_table(nu).items():
             k = (
                 (kp[0] // 2,)
                 + tuple(kp[i] // 2 + ksub[i - 1] for i in range(1, r - 1))
                 + (kp[r - 1] + ksub[r - 2],)
             )
-            table[k] = table.get(k, _Q0) + layer * hsub
-    return table
+            terms = acc.setdefault(k, {})
+            get = terms.get
+            for (_, qb), cb in hsub.terms.items():
+                for qa, ca in layer:
+                    q = qa + qb
+                    terms[q] = get(q, 0) + ca * cb
+    return {
+        k: LaurentPoly._make({(0, q): c for q, c in terms.items() if c}, 0)
+        for k, terms in acc.items()
+    }
 
 
 def h_coeff(k: tuple, lam: tuple) -> LaurentPoly:
@@ -163,8 +175,15 @@ class CheckResult:
 
 
 def _at_minus_qinv(poly: LaurentPoly) -> LaurentPoly:
-    """poly with t = -1/q."""
-    return poly.substitute({"t": LaurentPoly.monomial(poly.rank, qexp=-1, coef=-1)})
+    """poly with t = -1/q: each key (z, 2n, q) goes to (z, 0, q - 2n) with
+    the sign (-1)^n."""
+    r = poly.rank
+    out = {}
+    for mono, coef in poly.terms.items():
+        t = mono[r]
+        key = mono[:r] + (0, mono[r + 1] - t)
+        out[key] = out.get(key, 0) + (-coef if t % 4 else coef)
+    return LaurentPoly._make({m: c for m, c in out.items() if c}, r)
 
 
 def _bridge(claim: str, lam: tuple, poly: LaurentPoly) -> CheckResult:

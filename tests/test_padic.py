@@ -10,6 +10,8 @@ from spinchar.padic import (
     BudgetExceededError,
     ShortPatternB,
     _cyclotomic_sum,
+    _gamma_product,
+    _gamma_tilde_weight,
     brute_force_G,
     closed_form_G,
     component_decomposition,
@@ -41,7 +43,7 @@ from spinchar.padic import (
     resonant_lift,
     short_pattern_of,
 )
-from spinchar.rootdata import upsilon
+from spinchar.rootdata import shifted_weight, upsilon
 
 ONE = LaurentPoly.one(0)
 QINV = LaurentPoly.monomial(0, qexp=-1)
@@ -253,6 +255,83 @@ def test_flavor_c_rejects_wrong_length(d):
     for f in (in_cqc, short_pattern_of, decorate_C_literal, decorate_C_pullback):
         with pytest.raises(ValueError, match="length"):
             f(d, (2, 1))
+
+
+def test_pullback_flags_follow_the_pattern_rows():
+    # the flags read off d against the maximality / minimality equations
+    # spelled out on the rows of short_pattern_of, entry by entry
+    for mp in [(2, 1), (0, 2), (4, 3), (3, 0, 1), (2, 2, 1), (4, 2, 1), (2, 2, 2, 1)]:
+        r = len(mp)
+        for d in iter_cqc(mp):
+            p1 = short_pattern_of(d, mp)
+            a0, b1, a1 = p1.a0, p1.b1, p1.a1
+            boxed = [b1[j] == a0[j] for j in range(r)]
+            circled = [b1[j] == a0[j + 1] for j in range(r - 1)] + [b1[r - 1] == 0]
+            for j in range(r - 2, -1, -1):  # cbar_{j+1} <-> a_{1,j+2}
+                boxed.append(a1[j] == b1[j + 1])
+                circled.append(
+                    a1[j] == b1[j]
+                    or (j == r - 2 and a1[j] == 0)
+                    or (j < r - 2 and a1[j] == a1[j + 1])
+                )
+            arr = decorate_C_pullback(d, mp)
+            assert (list(arr.boxed), list(arr.circled)) == (boxed, circled), (mp, d)
+            for j in range(1, r + 1):
+                assert (p1.c_stat("b", j) - arr.entries[j - 1]) % 2 == 0
+            for j in range(1, r):
+                assert p1.c_stat("a", j + 1) == arr.entries[2 * r - 1 - j]
+
+
+def test_gamma_product_counts_the_factors():
+    # the counted product against the factor-by-factor one of the spelled
+    # out weights: every gamma flag tuple up to length 5, and every
+    # gamma-tilde one (entries 0..3) up to order, which a commutative
+    # product does not see
+    even = {
+        (True, True): Z,
+        (True, False): -QINV,
+        (False, True): ONE,
+        (False, False): ONE - QINV,
+    }
+    root = LaurentPoly.monomial(0, qexp=Fraction(-1, 2))
+    odd = {**even, (True, False): root, (False, False): Z}
+    pairs = list(even)
+    triples = [p + (e,) for p in pairs for e in range(4)]
+    for b, c, e in triples:
+        assert gamma(b, c) == even[b, c]
+        assert gamma_tilde(b, c, e) == (odd if e % 2 else even)[b, c]
+
+    def by_factors(flags):
+        out = ONE
+        for b, c, *e in flags:
+            out = out * (odd if e and e[0] % 2 else even)[b, c]
+        return out
+
+    for n in range(6):
+        for flags in itertools.product(pairs, repeat=n):
+            assert _gamma_product(flags) == by_factors(flags), flags
+        for flags in itertools.combinations_with_replacement(triples, n):
+            assert _gamma_product(flags, _gamma_tilde_weight) == by_factors(flags), flags
+
+
+def test_cqc_layer_sums_match_the_per_tuple_sum():
+    # the counted buckets against the weights of the pulled-back arrays,
+    # summed tuple by tuple: ranks 1-3 with entries <= 4 and sum <= 9, and
+    # the tops of the three rank-4 bridge weights
+    tops = [
+        mp for r in (1, 2, 3) for mp in itertools.product(range(5), repeat=r)
+        if sum(mp) <= 9
+    ]
+    tops += [shifted_weight(lam) for lam in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))]
+    for mp in tops:
+        r = len(mp)
+        acc = {}
+        for d in iter_cqc(mp):
+            val = g_delta_C(decorate_C_pullback(d, mp))
+            if val:
+                key = k_vector_C(d, r)
+                acc[key] = acc.get(key, Z) + val
+        assert cqc_layer_sums(mp) == {k: v for k, v in acc.items() if v}, mp
 
 
 def test_g_delta_C_values():

@@ -158,6 +158,31 @@ def test_to_gt_accepts_exactly_the_tableaux():
     assert from_gt(to_gt(s)) == Tableau(3, ((1, 2, 4), (4,)))
 
 
+def test_validate_agrees_with_to_gt():
+    # every filling of the shifted shapes with rows of at most 3 cells (4 at
+    # rank 1), ranks 1-3: validate raises exactly when to_gt does; shapes
+    # with fewer than r-1 nonempty rows have no strict top row
+    disagree = []
+    for r, width in ((1, 4), (2, 3), (3, 3)):
+        for n in range(r + 1):
+            for shape in itertools.combinations(range(width, 0, -1), n):
+                for fill in itertools.product(range(1, 2 * r + 1), repeat=sum(shape)):
+                    cells = iter(fill)
+                    s = Tableau(r, tuple(tuple(itertools.islice(cells, m)) for m in shape))
+                    verdicts = []
+                    for check in (s.validate, lambda: to_gt(s)):
+                        try:
+                            check()
+                            verdicts.append(True)
+                        except ValueError:
+                            verdicts.append(False)
+                    if verdicts[0] != verdicts[1]:
+                        disagree.append(s)
+    assert not disagree, disagree[:3]
+    with pytest.raises(ValueError, match="padded"):
+        Tableau(2, ()).validate()
+
+
 @pytest.mark.parametrize("mu", [(2, 2), (3, 1), (2, 1, 1), (2, 2, 1)], ids=str)
 def test_strips_are_scored_off_the_pattern_slices(mu):
     # the count map inverts from_gt, and symbol m's strip is the slice

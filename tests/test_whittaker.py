@@ -1,6 +1,9 @@
 import cmath
+import hashlib
 import itertools
 from fractions import Fraction
+
+import pytest
 
 from spinchar import whittaker
 from spinchar.gtpatterns import top_row
@@ -69,6 +72,21 @@ def test_layer_keys_are_even():
     for mup in [(2, 2), (8, 3), (2, 2, 1), upsilon((2, 2, 1))]:
         for key in cqc_layer_sums(mup):
             assert all(x % 2 == 0 for x in key[:-1])
+
+
+# SHA-256 and line count of the whole table, one "k value" line per key in
+# sorted order
+H_TABLE_PINS = {
+    (2, 1, 1): ("29e9f52f51c011e9dea89405c06e84917915e65650f36ff13d663f9284eb72ed", 1261),
+    (1, 1, 0, 0): ("4b5548430e55167661b677002450d8e1f5eb89568d0620a9bbcfaa29ab19a12f", 9008),
+}
+
+
+@pytest.mark.parametrize("lam", list(H_TABLE_PINS))
+def test_h_table_is_pinned(lam):
+    text = "".join(f"{k} {v}\n" for k, v in sorted(h_table(lam).items()))
+    pin = (hashlib.sha256(text.encode()).hexdigest(), text.count("\n"))
+    assert pin == H_TABLE_PINS[lam]
 
 
 def test_gh_rank1():
