@@ -32,6 +32,7 @@ JOBS = [(claim, lambda_args(lam)) for claim in ("theorem1", "corollary2")
 JOBS += [
     ("theorem1", lambda_args((2, 1, 1))),  # the rank-3 frontier
     ("theorem1", lambda_args((0, 0, 0, 0))),  # the rank-4 frontier
+    ("theorem1", lambda_args((1, 0, 0, 0))),
     ("corollary2", lambda_args((2, 1, 1))),
     ("corollary2", lambda_args((0, 0, 0, 0))),
     ("corollary2", lambda_args((1, 0, 0, 0))),

@@ -18,6 +18,17 @@ which orders terms as (z, t, q) and is a total order compatible with
 multiplication; serialization lists terms in descending order of the key,
 so output is byte-stable.
 
+The two large kernels run on packed keys (_fields): each slot of a key,
+less a fixed low, fills one bit field of an integer, slot 0 in the most
+significant field, so integer order is key order and, where no field
+carries, adding packed keys multiplies monomials.  A product of at least
+PACKED_MIN_PAIRS pairs packs into int64 and sums its pairs with numpy;
+when the fields need more than 62 bits, an exponent reaches 2^62 in size,
+or sum|a| * max|b| reaches 2^62, int64 could wrap, and it takes the dict
+loop (_mul_dict), which is exact for any input.  Exact division packs into
+Python ints over the dividend's exponent box, which holds every remainder
+key, and finds each leading term on a max-heap of them.
+
 Text grammar (see README):
 
   poly   := "0" | term (" + " term)*
@@ -35,8 +46,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import add, sub
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 
 class RankMismatchError(ValueError):
@@ -96,9 +111,37 @@ _FACTOR_RE = re.compile(r"^(z\d+|t|q)(?:\^\{(-?\d+(?:/2)?)\})?$")
 _Z_NAME_RE = re.compile(r"z([1-9][0-9]*)")
 
 # A product with at least this many pairs of terms is multiplied on packed
-# keys.  Most products are far smaller (tiny q-polynomials), and there
-# packing and unpacking cost as much as the pairs save, or more.
-PACKED_MIN_PAIRS = 4096
+# keys.  Below it, converting to and from arrays costs as much as the pairs
+# save, or more: timed against _mul_dict at ranks 0, 2 and 4, the packed
+# product wins from about 192 pairs when both factors have about as many
+# terms, from about 384 when one factor has two, and on every shape from 512.
+PACKED_MIN_PAIRS = 512
+
+# The packed product forms at most this many pairs at a time, and decodes
+# its result this many terms at a time, so its arrays stay small next to
+# the term maps themselves.
+_BLOCK_PAIRS = 1 << 16
+_DECODE_SLICE = 4096
+
+# Packed keys, coefficients and every partial sum of the packed product
+# stay below this bound, so int64 never wraps.
+_INT64_SAFE = 1 << 62
+
+
+def _fields(lows, spans) -> list:
+    """(shift, mask, low) of each slot's bit field in a packed key.
+
+    A slot whose entries lie in low..low + span holds entry - low in a field
+    span.bit_length() bits wide.  Slot 0 has the most significant field, so
+    packed keys compare as integers exactly as the key tuples compare.
+    """
+    fields = []
+    shift = 0
+    for low, span in reversed(list(zip(lows, spans))):
+        width = span.bit_length()
+        fields.append((shift, (1 << width) - 1, low))
+        shift += width
+    return fields[::-1]
 
 
 def _mul_dict(a: dict, b: dict) -> dict:
@@ -116,41 +159,66 @@ def _mul_dict(a: dict, b: dict) -> dict:
 
 
 def _mul_packed(a: dict, b: dict) -> dict:
-    """Term map of the product of two term maps, multiplied on packed keys.
+    """Term map of the product of two term maps, multiplied on int64 keys.
 
-    Each monomial becomes one int: every entry of its key, less that
-    factor's minimum in the same slot, fills a bit field as wide as the two
-    factors' spans added, so a sum of two keys never carries between fields
-    and adding keys multiplies monomials.  Python ints are unbounded, so the
-    result is exact for any exponents and coefficients.
+    Each slot of a factor's keys, less that factor's minimum in the slot,
+    fills a field as wide as the two factors' spans added (_fields), so a
+    sum of two packed keys never carries between fields and adding keys
+    multiplies monomials.  Pairs are formed in blocks of at most
+    _BLOCK_PAIRS and each block is sorted into the running result, whose
+    equal keys are summed; the result is decoded _DECODE_SLICE terms at a
+    time.  When the fields need more than 62 bits, an exponent reaches 2^62
+    in size, or sum|a| * max|b| reaches 2^62, int64 could wrap, and the
+    product is taken by _mul_dict instead.
     """
     if not a or not b:
         return {}
-    keys_a, keys_b = [0] * len(a), [0] * len(b)
-    fields = []  # (offset, mask, exponent of field value 0) per slot
-    offset = 0
-    for col_a, col_b in zip(zip(*a), zip(*b)):
-        lo_a, lo_b = min(col_a), min(col_b)
-        width = (max(col_a) - lo_a + max(col_b) - lo_b).bit_length()
-        keys_a = [k + ((e - lo_a) << offset) for k, e in zip(keys_a, col_a)]
-        keys_b = [k + ((e - lo_b) << offset) for k, e in zip(keys_b, col_b)]
-        fields.append((offset, (1 << width) - 1, lo_a + lo_b))
-        offset += width
+    slots = len(next(iter(a)))
+    try:  # an exponent beyond int64 cannot be packed
+        ea = np.fromiter(chain.from_iterable(a), np.int64, len(a) * slots)
+        eb = np.fromiter(chain.from_iterable(b), np.int64, len(b) * slots)
+    except OverflowError:
+        return _mul_dict(a, b)
+    ea, eb = ea.reshape(len(a), slots), eb.reshape(len(b), slots)
+    lo_a, hi_a = ea.min(axis=0).tolist(), ea.max(axis=0).tolist()
+    lo_b, hi_b = eb.min(axis=0).tolist(), eb.max(axis=0).tolist()
+    spans = [ha - la + hb - lb for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
+    if (
+        sum(span.bit_length() for span in spans) > 62
+        or max(map(abs, lo_a + hi_a + lo_b + hi_b)) >= _INT64_SAFE
+        or sum(map(abs, a.values())) * max(map(abs, b.values())) >= _INT64_SAFE
+    ):
+        return _mul_dict(a, b)
 
-    out = {}
-    get = out.get
-    pairs_b = list(zip(keys_b, b.values()))
-    for ka, ca in zip(keys_a, a.values()):
-        for kb, cb in pairs_b:
-            key = ka + kb
-            out[key] = get(key, 0) + ca * cb
+    fields = _fields(map(add, lo_a, lo_b), spans)
+    shifts = np.array([shift for shift, _, _ in fields], dtype=np.int64)
+    ka = ((ea - lo_a) << shifts).sum(axis=1)
+    kb = ((eb - lo_b) << shifts).sum(axis=1)
+    ca = np.fromiter(a.values(), np.int64, len(a))
+    cb = np.fromiter(b.values(), np.int64, len(b))
+
+    keys = coefs = np.empty(0, dtype=np.int64)
+    step_b = min(len(b), _BLOCK_PAIRS)
+    step_a = max(1, _BLOCK_PAIRS // step_b)
+    for i in range(0, len(a), step_a):
+        for j in range(0, len(b), step_b):
+            k = ka[i:i + step_a, None] + kb[None, j:j + step_b]
+            c = ca[i:i + step_a, None] * cb[None, j:j + step_b]
+            k = np.concatenate((keys, k.ravel()))
+            c = np.concatenate((coefs, c.ravel()))
+            order = np.argsort(k)
+            k = k[order]  # one at a time: the unsorted k is freed first
+            c = c[order]
+            starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+            keys, coefs = k[starts], np.add.reduceat(c, starts)
+    kept = coefs != 0
+    keys, coefs = keys[kept], coefs[kept]
 
     terms = {}
-    while out:  # popped as decoded: each packed key is freed as its term is built
-        key, coef = out.popitem()
-        if coef:
-            e = [((key >> off) & mask) + lo for off, mask, lo in fields]
-            terms[tuple(e)] = coef
+    for i in range(0, len(keys), _DECODE_SLICE):
+        part = keys[i:i + _DECODE_SLICE]
+        cols = [(((part >> s) & mask) + low).tolist() for s, mask, low in fields]
+        terms.update(zip(zip(*cols), coefs[i:i + _DECODE_SLICE].tolist()))
     return terms
 
 
@@ -354,6 +422,11 @@ class LaurentPoly:
         polytope bounds on the quotient guarantee termination: every quotient
         exponent must lie, coordinate by coordinate, between the least
         exponent of a minus that of b and the greatest of a minus that of b.
+
+        So every remainder key stays in the box of a's own exponents, and
+        the remainder is kept on keys packed in that box (_fields), which
+        never carry, with a lazy max-heap of them for the leading term.  The
+        error carries the remainder at the point the division got stuck.
         """
         self._check_rank(divisor)
         if not divisor:
@@ -366,31 +439,55 @@ class LaurentPoly:
         cols = list(zip(zip(*self.terms), zip(*divisor.terms)))
         lo = [min(a) - min(b) for a, b in cols]
         hi = [max(a) - max(b) for a, b in cols]
+        low_a, low_b = [min(a) for a, _ in cols], [min(b) for _, b in cols]
+        fields = _fields(low_a, [max(a) - l for (a, _), l in zip(cols, low_a)])
 
-        rem = dict(self.terms)
+        def pack(mono, lows):
+            return sum((e - l) << s for e, l, (s, _, _) in zip(mono, lows, fields))
+
+        def unpack(key):
+            return tuple(((key >> s) & mask) + l for s, mask, l in fields)
+
+        def remainder():
+            dense = {unpack(key): c for key, c in rem.items() if c}
+            return LaurentPoly._make(dense, self.rank)
+
+        # A cancelled key keeps a 0: every key enters the heap once, when it
+        # is first made, and none is made again once popped, since new keys
+        # lie below the leading one.
+        rem = {pack(m, low_a): c for m, c in self.terms.items()}
+        get = rem.get
+        heap = [-key for key in rem]
+        heapify(heap)
+        packed_b = [(pack(m, low_b), c) for m, c in divisor.terms.items()]
+        lead_packed = pack(lead_b, low_b)
         quo = {}
-        while rem:
-            lead_r = max(rem)
-            qmono = tuple(map(sub, lead_r, lead_b))
-            if rem[lead_r] % coef_b:
+        while heap:
+            key = -heappop(heap)
+            coef = rem[key]
+            if not coef:
+                continue
+            qmono = tuple(map(sub, unpack(key), lead_b))
+            if coef % coef_b:
                 raise NonExactDivisionError(
-                    "leading coefficient does not divide",
-                    LaurentPoly._make(rem, self.rank),
+                    "leading coefficient does not divide", remainder()
                 )
-            qcoef = rem[lead_r] // coef_b
+            qcoef = coef // coef_b
             in_box = all(l <= x <= h for l, x, h in zip(lo, qmono, hi))
             if qmono[self.rank] < 0 or not in_box:
-                raise NonExactDivisionError(
-                    "non-exact Laurent division", LaurentPoly._make(rem, self.rank)
-                )
+                raise NonExactDivisionError("non-exact Laurent division", remainder())
             quo[qmono] = qcoef
-            for mono, coef in divisor.terms.items():
-                key = tuple(map(add, qmono, mono))
-                val = rem.get(key, 0) - qcoef * coef
-                if val:
-                    rem[key] = val
+            # In the box, key - lead_packed is qmono less lo, packed without a
+            # borrow, and adding a packed divisor key lands in a's box.
+            qkey = key - lead_packed
+            for bkey, bcoef in packed_b:
+                k = qkey + bkey
+                old = get(k)
+                if old is None:
+                    rem[k] = -qcoef * bcoef
+                    heappush(heap, -k)
                 else:
-                    rem.pop(key, None)
+                    rem[k] = old - qcoef * bcoef
         return LaurentPoly._make(quo, self.rank)
 
     # -- the variable layout -------------------------------------------------

@@ -192,7 +192,8 @@ def _bridge(claim: str, lam: tuple, poly: LaurentPoly) -> CheckResult:
     Each z-monomial of ``poly`` must carry a k (by _k_of_z), and its
     q-coefficient must be q^(-sum k) H(p^k; p^lam), for every k in either
     support; the flat coefficients put back at their monomials must also
-    rebuild ``poly`` exactly.
+    rebuild ``poly`` exactly.  Monomials without a k are listed in
+    descending key order, so the report does not depend on term order.
     """
     r = len(lam)
     a0 = top_row(shifted_weight(lam))
@@ -200,15 +201,23 @@ def _bridge(claim: str, lam: tuple, poly: LaurentPoly) -> CheckResult:
 
     # The polynomial split by k: each part keeps its (t, q) exponents only.
     parts = {}
+    k_of = {}  # one _k_of_z per distinct z-part
+    zeros = (0,) * r
+    strays = []
     for mono, coef in poly.terms.items():
-        k = _k_of_z(a0, mono[:r])
+        z = mono[:r]
+        if z not in k_of:
+            k_of[z] = _k_of_z(a0, z)
+        k = k_of[z]
         if k is None:
-            result.mismatches.append(
-                {"monomial": str(LaurentPoly._make({mono: 1}, r)),
-                 "error": "no matching k index"}
-            )
-            continue
-        parts.setdefault(k, {})[(0,) * r + mono[r:]] = coef
+            strays.append(mono)
+        else:
+            parts.setdefault(k, {})[zeros + mono[r:]] = coef
+    for mono in sorted(strays, reverse=True):
+        result.mismatches.append(
+            {"monomial": str(LaurentPoly._make({mono: 1}, r)),
+             "error": "no matching k index"}
+        )
 
     recon = {}
     for k in sorted(set(h_support(lam)) | set(parts)):

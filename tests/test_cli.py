@@ -153,6 +153,22 @@ def test_padic_outputs_are_byte_stable(argv, lines, digest):
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "lam, digest",
+    [
+        ("0,0,0,2", "6d80bcca25b8efd6e55149d9e62926632b1ad9d08f89cc01325392600841b116"),
+        ("1,0,0,0", "b8da6bc2b4ab55ecf67f005f6149e195b57fe5ec46b2ec3ab6837798b08042e9"),
+    ],
+)
+def test_rank4_coeff_outputs_are_byte_stable(lam, digest):
+    # D(z; t) chi_lambda at rank 4: the large packed product and the exact
+    # division behind chi, printed in full and pinned byte for byte
+    out = run("coeff", "--rank", "4", "--lambda", lam)
+    assert out.returncode == 0
+    assert out.stdout.count("\n") == 1
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
 def test_enumerate_zero_mu():
     out = run("enumerate", "gt", "--mu", "0")
     assert out.returncode == 0

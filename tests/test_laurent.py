@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinchar import laurent
 from spinchar.laurent import (
+    _BLOCK_PAIRS,
     PACKED_MIN_PAIRS,
     LaurentPoly,
     Monomial,
@@ -300,3 +302,192 @@ def test_packed_product_on_a_rank_four_character():
     d, chi = deformed_denominator(4).terms, character((1, 0, 0, 0), 4).terms
     assert len(d) * len(chi) >= PACKED_MIN_PAIRS
     assert _mul_packed(d, chi) == _mul_dict(d, chi)
+
+
+# -- the int64 guards and the blocks of the packed product ------------------
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The products that _mul_packed hands to _mul_dict.  The tests call
+    the _mul_dict imported above as their oracle, which is not recorded."""
+    seen = []
+
+    def recording(a, b):
+        seen.append((a, b))
+        return _mul_dict(a, b)
+
+    monkeypatch.setattr(laurent, "_mul_dict", recording)
+    return seen
+
+
+@pytest.mark.parametrize("q_span, bits", ((1 << 13, 62), (1 << 14, 63)))
+def test_packed_product_field_width_guard(fallbacks, q_span, bits):
+    # (1 + X)(1 - X) = 1 - X^2 with X spanning (2^14, 2^14, 2^13, q_span) in
+    # the doubled slots: the product's fields are 16 + 16 + 15 bits wide,
+    # plus 15 (62 in all, packed) or 16 (63, the dict loop) for q.
+    x = (1 << 14, 1 << 14, 1 << 13, q_span)
+    zero = (0, 0, 0, 0)
+    a, b = {zero: 1, x: 1}, {zero: 1, x: -1}
+    want = {zero: 1, tuple(2 * e for e in x): -1}
+    assert sum((2 * e).bit_length() for e in x) == bits
+    assert _mul_dict(a, b) == want
+    assert _mul_packed(a, b) == want
+    assert len(fallbacks) == (bits > 62)
+
+
+@pytest.mark.parametrize("bound", ((1 << 62) - 1, 1 << 62))
+def test_packed_product_coefficient_guard(fallbacks, bound):
+    # sum|a| * max|b| is 2^62 - 1 = (2^31 - 1)(2^31 + 1), packed, or
+    # 2^62 = 2^31 2^31, the dict loop; the coefficient of z1 reaches it,
+    # since every pair lands there.
+    one, z1 = Monomial((0,)), Monomial((2,))
+    top = 1 << 31
+    if bound < 1 << 62:
+        a, b = {one: 1 << 30, z1: (1 << 30) - 1}, {z1: top + 1, one: top + 1}
+    else:
+        a, b = {one: 1 << 30, z1: 1 << 30}, {z1: top, one: top}
+    assert sum(map(abs, a.values())) * max(map(abs, b.values())) == bound
+    got = _mul_packed(a, b)
+    assert got == _mul_dict(a, b)
+    assert got[z1] == bound
+    assert len(fallbacks) == (bound >= 1 << 62)
+
+
+@pytest.mark.parametrize(
+    "base", ((1 << 62) - 3, 1 << 62, 1 << 63, 1 << 70, -(1 << 63), -(1 << 80))
+)
+def test_packed_product_far_exponents(fallbacks, base):
+    # Exponents near, at or beyond the int64 range, each slot spanning a few
+    # units: the fields are narrow, but int64 cannot hold (or add) the
+    # exponents, so the product must go to the dict loop, not overflow.
+    a = {Monomial((base, 3), 1, base): 2, Monomial((base + 2, -1), 0, base - 1): -1}
+    b = {Monomial((-base, 0), 2, 5): 3, Monomial((7 - base, 1), 0, 4): 1}
+    far = max(abs(e) for key in (*a, *b) for e in key) >= 1 << 62
+    assert _mul_packed(a, b) == _mul_dict(a, b)
+    assert len(fallbacks) == far
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    ((255, 257), (256, 256), (1, _BLOCK_PAIRS + 1), (257, 256), (2, _BLOCK_PAIRS // 2 + 1)),
+    ids=("B-1", "B", "B+1", "rows-split", "columns-split"),
+)
+def test_packed_product_at_block_boundaries(fallbacks, m, n):
+    # Pair counts at _BLOCK_PAIRS (B) and one pair either side of it, and
+    # two products that take two blocks; key sums collide within a block
+    # and across blocks.
+    a = {Monomial((i % 17, -(i // 17)), i % 2, 0): (-1) ** i * (1 + i % 3) for i in range(m)}
+    b = {Monomial((j % 23, j // 23), 0, j % 3): 1 + j % 4 for j in range(n)}
+    assert len(a) == m and len(b) == n
+    want = _mul_dict(a, b)
+    assert _mul_packed(a, b) == want
+    assert (LaurentPoly(a, 2) * LaurentPoly(b, 2)).terms == want
+    assert not fallbacks
+
+
+def test_packed_product_cancels_across_blocks(fallbacks):
+    # A product of nonzero polynomials never vanishes, so the most that can
+    # cancel is all but two terms:
+    # (z1 - z2^-1) (z1^(n-1) + z1^(n-2) z2^-1 + ... + z2^-(n-1)) t q^(1/2)
+    # = (z1^n - z2^-n) t, with n = B, takes one block per term of the first
+    # factor, and each term the second block makes cancels one of the first.
+    n = _BLOCK_PAIRS
+    a = {Monomial((2, 0), 0, -1): 1, Monomial((0, -2), 0, -1): -1}
+    b = {Monomial((2 * (n - 1 - i), -2 * i), 1, 1): 1 for i in range(n)}
+    want = {Monomial((2 * n, 0), 1, 0): 1, Monomial((0, -2 * n), 1, 0): -1}
+    assert _mul_packed(a, b) == want
+    assert _mul_dict(a, b) == want
+    assert not fallbacks
+
+
+# -- the heap division against the rescanning loop it replaced -------------
+
+
+def _div_by_rescan(a: LaurentPoly, b: LaurentPoly):
+    """Greedy division that finds each leading term by max(rem), the loop
+    div_exact replaced: ("quotient", terms) or (why it stopped, the
+    remainder's terms at that point)."""
+    rank = a.rank
+    lead_b = max(b.terms)
+    cols = list(zip(zip(*a.terms), zip(*b.terms)))
+    lo = [min(x) - min(y) for x, y in cols]
+    hi = [max(x) - max(y) for x, y in cols]
+    rem, quo = dict(a.terms), {}
+    while rem:
+        lead = max(rem)
+        qmono = tuple(x - y for x, y in zip(lead, lead_b))
+        if rem[lead] % b.terms[lead_b]:
+            return "leading coefficient does not divide", rem
+        if not all(l <= x <= h for l, x, h in zip(lo, qmono, hi)):
+            return "outside the box", rem
+        if qmono[rank] < 0:
+            return "negative t", rem
+        qcoef = rem[lead] // b.terms[lead_b]
+        quo[qmono] = qcoef
+        for mono, coef in b.terms.items():
+            key = tuple(x + y for x, y in zip(qmono, mono))
+            val = rem.get(key, 0) - qcoef * coef
+            if val:
+                rem[key] = val
+            else:
+                rem.pop(key, None)
+    return "quotient", quo
+
+
+def _assert_same_division(a: LaurentPoly, b: LaurentPoly) -> str:
+    outcome, terms = _div_by_rescan(a, b)
+    if outcome == "quotient":
+        assert a.div_exact(b).terms == terms
+        return outcome
+    message = {"leading coefficient does not divide": outcome}.get(
+        outcome, "non-exact Laurent division"
+    )
+    with pytest.raises(NonExactDivisionError, match=message) as err:
+        a.div_exact(b)
+    assert err.value.remainder.terms == terms
+    return outcome
+
+
+def _division_cases(rank):
+    """(dividend, divisor, the way the rescanning loop ends) at one rank:
+    a quotient with negative exponents, times a divisor, plus a term that
+    stops the division partway."""
+    def mono(z, t=0, q=0, coef=1):
+        return LaurentPoly({Monomial(tuple(z) + (0,) * (rank - len(z)), t, q): coef}, rank)
+
+    zs = [(-1,), (3, -2), (1, 0, -3), (-2, 1, 1, -1)]
+    quotient = sum(
+        (mono(z[:rank], t=i % 2, q=-i, coef=(-1) ** i * (i + 1)) for i, z in enumerate(zs)),
+        mono((), q=-3),
+    )
+    z1 = (2,) if rank else ()
+    two_lead = mono(z1, coef=2) + mono((), q=-1) + mono((), t=1, q=1, coef=-4)
+    monic = mono(z1) + mono((), q=-2, coef=-1)
+    t_times = mono((), t=2) + mono((), t=1)  # t (t + 1)
+    return [
+        (quotient * two_lead, two_lead, "quotient"),
+        (quotient * two_lead + mono((), q=-1), two_lead,
+         "leading coefficient does not divide"),
+        (quotient * monic + mono([-40] * rank, q=1), monic, "outside the box"),
+        (quotient * t_times + mono((), t=1) + mono(()), t_times, "negative t"),
+    ]
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_heap_division_stops_where_the_rescan_did(rank):
+    # Each way the division can end, at ranks 0-4 with negative exponents:
+    # the same quotient, or the same error carrying the same remainder.
+    for a, b, ending in _division_cases(rank):
+        assert _assert_same_division(a, b) == ending
+
+
+@pytest.mark.parametrize("rank", range(5))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_heap_division_matches_the_rescan(rank, data):
+    maps = term_maps(rank, -5, 5, st.integers(-3, 3), 1, 6)
+    b = LaurentPoly(data.draw(maps), rank)
+    q = LaurentPoly(data.draw(maps), rank)
+    noise = LaurentPoly(data.draw(term_maps(rank, -5, 5, st.integers(-3, 3), 0, 2)), rank)
+    _assert_same_division(q * b + noise, b)

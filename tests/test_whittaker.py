@@ -1,6 +1,7 @@
 import cmath
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -168,3 +169,30 @@ def test_bridge_reports_a_stray_monomial_and_a_wrong_coefficient():
     res = whittaker._bridge("prop3", lam, poly + off)
     assert [m["k"] for m in res.mismatches if "k" in m] == [list(k)]
     assert {"error": "reconstruction differs from the polynomial"} in res.mismatches
+
+
+def test_bridge_report_does_not_depend_on_term_order():
+    # Three stray monomials and one wrong coefficient, fed to _bridge with
+    # the terms in several orders: the report is the same each time, and
+    # lists the strays in descending key order.
+    lam = (1, 2)
+    a0 = top_row(upsilon((2, 3)))
+    tsub = LaurentPoly.monomial(2, qexp=-1, coef=-1)
+    poly = deformed_denominator(2).substitute({"t": tsub}) * character(lam)
+    strays = [Monomial((1 - a0[0] + 2 * i, -a0[1] - 2 * i), 0, -i) for i in (1, -2, 0)]
+    k = sorted(h_support(lam))[1]
+    off = Monomial(whittaker._z_of_k(a0, k), 0, 0)
+    spoiled = poly + LaurentPoly({**dict.fromkeys(strays, 1), off: 1}, 2)
+
+    reports = []
+    rng = random.Random(5)
+    for _ in range(4):
+        terms = list(spoiled.terms.items())
+        rng.shuffle(terms)
+        res = whittaker._bridge("prop3", lam, LaurentPoly(dict(terms), 2))
+        reports.append((res.mismatches, res.checked))
+    assert all(report == reports[0] for report in reports)
+    listed = [m["monomial"] for m in reports[0][0] if "monomial" in m]
+    assert listed == [
+        str(LaurentPoly({m: 1}, 2)) for m in sorted(strays, reverse=True)
+    ]
