@@ -55,7 +55,7 @@ def _mu(args, least: int = 1, least_rank: int = 2, dest: str = "mu") -> tuple:
         rank = f"rank >= {least_rank} and " if least_rank > 1 else ""
         sign = "positive" if least > 0 else "nonnegative"
         label = args.claim if args.command == "verify" else f"enumerate {args.kind}"
-        raise UsageError(f"{label} needs {rank}{sign} {_FLAGS[dest]}")
+        raise UsageError(f"{label} needs {rank}{sign} --{dest}")
     return mu
 
 
@@ -69,8 +69,12 @@ def _top_mu(args) -> tuple:
 
 
 def _prime(args) -> int:
-    """--p, default 3; the oracle sums need a prime."""
+    """--p, default 3; the oracle sums need a prime.  ``brute_force_G``
+    refuses ``p^cap > 2^31`` and only ``d = 0`` has cap 0, so a p of 2^31
+    or more is refused before the trial division, which it would make slow."""
     p = 3 if args.p is None else args.p
+    if p >= 2**31:
+        raise UsageError(f"--p must be below 2^31, got {p}")
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise UsageError(f"--p must be a prime, got {p}")
     return p
@@ -193,7 +197,7 @@ def _verify_prop6(args) -> Report:
     kmax = _at_least(args.kmax, "--kmax")
     budget = _at_least(args.budget, "--budget", 1)
     rep = Report("prop6", {"mu": list(mu), "p": p, "kmax": kmax})
-    if args.k:
+    if args.k is not None:
         k = _parse_ints(args.k)
         if len(k) != len(mu) or min(k) < 0:
             raise UsageError(f"--k needs {len(mu)} nonnegative entries, as --mu has")
@@ -249,93 +253,90 @@ def _verify_lemma10(args) -> Report:
     return rep
 
 
+# Every claim: its handler and the flags the handler reads (and --timing).
+_LAMBDA = ("rank", "lambda")
 _VERIFIERS = {
-    "theorem1": _verify_theorem1,
-    "corollary2": _verify_corollary2,
-    "prop3": _verify_bridge,
-    "prop4": _verify_prop4,
-    "prop5": _verify_prop5,
-    "prop6": _verify_prop6,
-    "gh": _verify_bridge,
-    "lemma3": _verify_lemma3,
-    "lemma10-equiv": _verify_lemma10,
+    "theorem1": (_verify_theorem1, _LAMBDA),
+    "corollary2": (_verify_corollary2, _LAMBDA),
+    "prop3": (_verify_bridge, _LAMBDA),
+    "gh": (_verify_bridge, _LAMBDA),
+    "prop4": (_verify_prop4, ("rank", "mu", "p", "dmax", "budget")),
+    "prop5": (_verify_prop5, ("rank", "mu", "kmax", "q")),
+    "prop6": (_verify_prop6, ("rank", "mu", "k", "p", "kmax", "budget")),
+    "lemma3": (_verify_lemma3, ("rank", "mu")),
+    "lemma10-equiv": (_verify_lemma10, ("rank", "mu")),
 }
 
 
 # -- enumerate ----------------------------------------------------------------
 
 
-def _enumerate(args) -> None:
-    kind = args.kind
-    out = sys.stdout
+def _enumerate_patterns(args) -> None:
+    """gt / tableaux: one JSON line per strict pattern of top --mu, or per
+    tableau it maps to.  The per-record functions are looked up on each
+    call, so that wrappers installed on their modules see the calls."""
     limit = _at_least(args.limit, "--limit", 1)
-    if kind == "gt":
-        mu = _top_mu(args)
-        n = 0
-        for p in gtpatterns.enumerate_strict(mu):
-            if args.circle_only and not gtpatterns.in_gt_circle(p):
-                continue
-            out.write(p.to_json() + "\n")
-            n += 1
-            if n == limit:
-                break
-        return
-    if kind == "tableaux":
-        mu = _top_mu(args)
-        n = 0
-        for p in gtpatterns.enumerate_strict(mu):
-            s = tableaux.from_gt(p)
-            if args.circle_only and not tableaux.in_st_circle(s):
-                continue
-            out.write(tableaux.tableau_json(s) + "\n")
-            n += 1
-            if n == limit:
-                break
-        return
-    if kind == "omega":
-        mu = _mu(args, least=0, least_rank=1)
-        if args.index is not None and not 1 <= args.index <= len(mu):
-            raise UsageError(f"--index must lie in 1..{len(mu)}, got {args.index}")
-        for t in padic.omega_sets(
-            mu, args.kind_rel, weighting=args.weighting, k=args.k_scalar, i=args.index
-        ):
-            out.write(json.dumps({"d": list(t)}) + "\n")
-        return
-    if kind == "cq":
-        mup = _mu(args, least=0, least_rank=1, dest="muprime")
-        rows = []
-        for d in padic.iter_cqc(mup):
-            arr = padic.decorate_C_pullback(d, mup)
-            lit = padic.decorate_C_literal(d, mup)
-            rows.append(
-                {
-                    "d": list(d),
-                    "entries": list(arr.entries),
-                    "boxed": list(arr.boxed),
-                    "circled": list(arr.circled),
-                    "literal_agrees": (arr.boxed, arr.circled)
-                    == (lit.boxed, lit.circled),
-                    "k": list(padic.k_vector_C(d, len(mup))),
-                    "g": str(padic.g_delta_C(arr)),
-                }
-            )
-        if args.format == "csv":
-            r = len(mup)
-            head = [f"d{i}" for i in range(1, 2 * r)] + ["k", "g"]
-            out.write(",".join(head) + "\n")
-            for row in rows:
-                out.write(
-                    ",".join(
-                        [str(x) for x in row["d"]]
-                        + [" ".join(map(str, row["k"])), f"\"{row['g']}\""]
-                    )
-                    + "\n"
-                )
+    mu = _top_mu(args)
+    tab = args.kind == "tableaux"
+    in_circle = tableaux.in_st_circle if tab else gtpatterns.in_gt_circle
+    to_json = tableaux.tableau_json if tab else gtpatterns.GTPattern.to_json
+    out = sys.stdout
+    n = 0
+    for p in gtpatterns.enumerate_strict(mu):
+        if tab:
+            p = tableaux.from_gt(p)
+        if args.circle_only and not in_circle(p):
+            continue
+        out.write(to_json(p) + "\n")
+        n += 1
+        if n == limit:
+            break
+
+
+def _enumerate_omega(args) -> None:
+    mu = _mu(args, least=0, least_rank=1)
+    if args.index is not None and not 1 <= args.index <= len(mu):
+        raise UsageError(f"--index must lie in 1..{len(mu)}, got {args.index}")
+    for t in padic.omega_sets(
+        mu, args.kind_rel, weighting=args.weighting, k=args.k_scalar, i=args.index
+    ):
+        sys.stdout.write(json.dumps({"d": list(t)}) + "\n")
+
+
+def _enumerate_cq(args) -> None:
+    mup = _mu(args, least=0, least_rank=1, dest="muprime")
+    csv = args.format == "csv"
+    if csv:
+        head = [f"d{i}" for i in range(1, 2 * len(mup))] + ["k", "g"]
+        sys.stdout.write(",".join(head) + "\n")
+    for d in padic.iter_cqc(mup):
+        arr = padic.decorate_C_pullback(d, mup)
+        lit = padic.decorate_C_literal(d, mup)
+        row = {
+            "d": list(d),
+            "entries": list(arr.entries),
+            "boxed": list(arr.boxed),
+            "circled": list(arr.circled),
+            "literal_agrees": (arr.boxed, arr.circled) == (lit.boxed, lit.circled),
+            "k": list(padic.k_vector_C(d, len(mup))),
+            "g": str(padic.g_delta_C(arr)),
+        }
+        if csv:
+            line = ",".join([str(x) for x in d]
+                            + [" ".join(map(str, row["k"])), f"\"{row['g']}\""])
         else:
-            for row in rows:
-                out.write(json.dumps(row, sort_keys=True) + "\n")
-        return
-    raise UsageError(f"unknown enumeration kind {kind!r}")
+            line = json.dumps(row, sort_keys=True)
+        sys.stdout.write(line + "\n")
+
+
+# Every enumeration kind: its handler and the flags the handler reads.
+_PATTERN_FLAGS = ("mu", "circle-only", "limit")
+_ENUMERATORS = {
+    "gt": (_enumerate_patterns, _PATTERN_FLAGS),
+    "tableaux": (_enumerate_patterns, _PATTERN_FLAGS),
+    "omega": (_enumerate_omega, ("mu", "kind-rel", "weighting", "k-scalar", "index")),
+    "cq": (_enumerate_cq, ("muprime", "format")),
+}
 
 
 # -- coeff --------------------------------------------------------------------
@@ -360,29 +361,31 @@ def _coeff(args) -> None:
 
 # -- entry point ---------------------------------------------------------------
 
-# The flags each subcommand cannot run without, keyed by (command, claim or
-# enumeration kind); checked before any work starts.
-_REQUIRED = {
-    **{("verify", c): ("lam",) for c in ("theorem1", "corollary2", "prop3", "gh")},
-    **{
-        ("verify", c): ("mu",)
-        for c in ("prop4", "prop5", "prop6", "lemma3", "lemma10-equiv")
-    },
-    ("enumerate", "gt"): ("mu",),
-    ("enumerate", "tableaux"): ("mu",),
-    ("enumerate", "omega"): ("mu",),
-    ("enumerate", "cq"): ("muprime",),
-    ("coeff", None): ("lam",),
+# argparse keywords of every flag, by name; a sub-parser gets exactly the
+# flags its table entry lists, so a required one is enforced by argparse and
+# one its handler does not read is refused.
+_FLAG_SPECS = {
+    "rank": {"type": int},
+    "lambda": {"dest": "lam", "required": True},
+    "mu": {"required": True},
+    "muprime": {"required": True},
+    "k": {},
+    "p": {"type": int},
+    "q": {"type": int},
+    "dmax": {"type": int, "default": 3},
+    "kmax": {"type": int},
+    "budget": {"type": int, "default": padic.DEFAULT_BUDGET},
+    "timing": {"action": "store_true"},
+    "circle-only": {"action": "store_true"},
+    "limit": {"type": int},
+    "kind-rel": {"default": "<=", "choices": ("<", "<=", "=", ">=", ">")},
+    "weighting": {"choices": ("A", "B")},
+    "k-scalar": {"type": int},
+    "index": {"type": int},
+    "format": {"choices": ("jsonl", "csv"), "default": "jsonl"},
+    "fix": {"action": "append", "metavar": "VAR=EXP"},
+    "t0": {"action": "store_true"},
 }
-_FLAGS = {"lam": "--lambda", "mu": "--mu", "muprime": "--muprime"}
-
-
-def _check_required(args) -> None:
-    what = getattr(args, "claim", None) or getattr(args, "kind", None)
-    for dest in _REQUIRED[(args.command, what)]:
-        if not getattr(args, dest):
-            label = f"{args.command} {what}" if what else args.command
-            raise UsageError(f"{label} needs {_FLAGS[dest]}")
 
 
 def _usage_exit(prefix: str, exc: Exception) -> int:
@@ -399,61 +402,51 @@ class _OneLineParser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _with_flags(parser, flags) -> None:
+    for flag in flags:
+        parser.add_argument(f"--{flag}", **_FLAG_SPECS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per claim, per enumeration kind and for coeff."""
     ap = _OneLineParser(
         prog="spinchar",
         description="verify, enumerate and print deformed-character data",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("verify", help="run a verification claim")
-    v.add_argument("claim", choices=sorted(_VERIFIERS))
-    v.add_argument("--rank", type=int, default=None)
-    v.add_argument("--lambda", dest="lam", default=None)
-    v.add_argument("--mu", default=None)
-    v.add_argument("--k", default=None)
-    v.add_argument("--p", type=int, default=None)
-    v.add_argument("--q", type=int, default=None)
-    v.add_argument("--dmax", type=int, default=3)
-    v.add_argument("--kmax", type=int, default=None)
-    v.add_argument("--budget", type=int, default=padic.DEFAULT_BUDGET)
-    v.add_argument("--timing", action="store_true")
-
-    e = sub.add_parser("enumerate", help="stream combinatorial objects")
-    e.add_argument("kind", choices=("gt", "tableaux", "omega", "cq"))
-    e.add_argument("--mu", default=None)
-    e.add_argument("--muprime", default=None)
-    e.add_argument("--circle-only", action="store_true")
-    e.add_argument("--limit", type=int, default=None)
-    e.add_argument("--kind-rel", default="<=", choices=("<", "<=", "=", ">=", ">"))
-    e.add_argument("--weighting", default=None, choices=("A", "B"))
-    e.add_argument("--k-scalar", type=int, default=None)
-    e.add_argument("--index", type=int, default=None)
-    e.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-
-    c = sub.add_parser("coeff", help="print a coefficient of the product")
-    c.add_argument("--rank", type=int, default=None)
-    c.add_argument("--lambda", dest="lam", default=None)
-    c.add_argument("--fix", action="append", metavar="VAR=EXP")
-    c.add_argument("--t0", action="store_true")
+    for command, dest, table, extra, help in (
+        ("verify", "claim", _VERIFIERS, ("timing",), "run a verification claim"),
+        ("enumerate", "kind", _ENUMERATORS, (), "stream combinatorial objects"),
+    ):
+        names = sub.add_parser(command, help=help).add_subparsers(
+            dest=dest, required=True
+        )
+        for name, (_, flags) in table.items():
+            _with_flags(names.add_parser(name), flags + extra)
+    coeff = sub.add_parser("coeff", help="print a coefficient of the product")
+    _with_flags(coeff, ("rank", "lambda", "fix", "t0"))
     return ap
 
 
+# Built once per process, as a module constant rather than a functools cache
+# (perfbench empties those after every job): a parse costs a small fraction
+# of a build.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     code = 0  # the exit code once the output is written
     try:
-        _check_required(args)
         if args.command == "verify":
             start = time.monotonic()
-            report = _VERIFIERS[args.claim](args)
+            report = _VERIFIERS[args.claim][0](args)
             if args.timing:
                 report.runtime_ms = round(1000 * (time.monotonic() - start), 3)
             code = 0 if report.verdict == "pass" else 1
             print(report.to_json())
         elif args.command == "enumerate":
-            _enumerate(args)
+            _ENUMERATORS[args.kind][0](args)
         else:
             _coeff(args)
         sys.stdout.flush()

@@ -228,6 +228,15 @@ def test_enumerate_cq_csv():
         ("verify", "lemma10-equiv", "--mu", "0,2"),
         ("enumerate", "gt", "--mu", "0,2"),
         ("enumerate", "tableaux", "--mu", "1,0,1"),
+        ("verify", "prop4", "--mu", "2,2", "--p", "2305843009213693951", "--dmax", "0"),
+        ("verify", "prop6", "--mu", "2,2", "--k=", "--kmax", "0"),
+        # a flag the claim or kind does not read
+        ("verify", "theorem1", "--lambda", "1", "--p", "4"),
+        ("verify", "corollary2", "--lambda", "1,1", "--dmax", "-1"),
+        ("verify", "prop4", "--mu", "2,2", "--dmax", "1", "--kmax", "0"),
+        ("enumerate", "gt", "--mu", "2,2", "--format", "csv"),
+        ("enumerate", "cq", "--muprime", "2,1", "--limit", "1"),
+        ("enumerate", "omega", "--mu", "2,2", "--circle-only"),
     ],
     ids=" ".join,
 )
@@ -271,7 +280,7 @@ def test_closed_stdout_keeps_the_exit_code(argv, code, monkeypatch, tmp_path, ca
     def failing(args):
         return Report("lemma3", {}, mismatches=[{"error": "made to fail"}])
 
-    monkeypatch.setitem(cli._VERIFIERS, "lemma3", failing)
+    monkeypatch.setitem(cli._VERIFIERS, "lemma3", (failing, ("rank", "mu")))
     with open(tmp_path / "stdout", "w") as sink:
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink))
         assert cli.main(list(argv)) == code
@@ -304,8 +313,20 @@ def test_verify_all_jobs_parse_and_cover_the_acceptance_grid():
     grid = {"theorem1": set(), "corollary2": set()}
     for claim, argv in script.JOBS:
         args = parser.parse_args(["verify", claim, *argv])
-        cli._check_required(args)
         if claim in grid:
             grid[claim].add((cli._parse_ints(args.lam), args.rank))
     for claim, cases in grid.items():
         assert {(tuple(lam), r) for lam, r in THEOREM1_CASES} <= cases, claim
+
+
+def test_readme_cli_examples_parse():
+    # every command line of the README's CLI block parses against the flag
+    # table, so the docs cannot name a flag a command does not read
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    calls = [line.split()[1:] for line in block.splitlines()
+             if line.startswith("spinchar ")]
+    assert len(calls) >= 9
+    parser = cli.build_parser()
+    for argv in calls:
+        parser.parse_args(argv)
