@@ -201,6 +201,8 @@ def _verify_prop6(args) -> Report:
         k = _parse_ints(args.k)
         if len(k) != len(mu) or min(k) < 0:
             raise UsageError(f"--k needs {len(mu)} nonnegative entries, as --mu has")
+        if kmax is not None:
+            raise UsageError("--k checks one k vector and --kmax sweeps: give one")
         kvecs = [k]
         rep.params["k"] = list(k)
     else:
@@ -297,6 +299,8 @@ def _enumerate_omega(args) -> None:
     mu = _mu(args, least=0, least_rank=1)
     if args.index is not None and not 1 <= args.index <= len(mu):
         raise UsageError(f"--index must lie in 1..{len(mu)}, got {args.index}")
+    if args.weighting is not None and args.k_scalar is None:
+        raise UsageError("--weighting filters by --k-scalar, which is missing")
     for t in padic.omega_sets(
         mu, args.kind_rel, weighting=args.weighting, k=args.k_scalar, i=args.index
     ):

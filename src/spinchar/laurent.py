@@ -295,10 +295,6 @@ class LaurentPoly:
     def t_var(rank: int) -> "LaurentPoly":
         return LaurentPoly._make({Monomial((0,) * rank, 1): 1}, rank)
 
-    @staticmethod
-    def q_var(rank: int, half: bool = False) -> "LaurentPoly":
-        return LaurentPoly._make({Monomial((0,) * rank, 0, 1 if half else 2): 1}, rank)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_rank(self, other: "LaurentPoly"):

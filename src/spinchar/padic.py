@@ -29,8 +29,9 @@ Conventions pinned here (each validated against the oracle, see tests):
 * gamma-tilde vanishes on odd entries that are neither boxed nor circled.
 * Every gamma / gamma-tilde weight is 0, 1, -q^-1, 1 - q^-1 or q^(-1/2),
   so a decorated array's weight is 0 or sign q^(-e/2) (1 - q^-1)^gen.
-  _gamma_product counts the triple (sign, e, gen) off one weight table
-  and expands it once.
+  _gamma_product counts the triple (sign, e, gen) off the weight tables
+  (a flag pair weighs by gamma, a flag triple with its entry by
+  gamma-tilde) and expands it once.
 * The flavor-C pullback flags are read straight off d: the pattern rows
   are b_{1,j} = d_j + a_{0,j+1} (b_{1,r} = d_r) and
   a_{1,j} = b_{1,j} - d_{2r-j}, and _pullback_flags_C states the flag
@@ -108,20 +109,13 @@ class DecoratedArray:
     circled: tuple
 
 
-def _gamma_weight(boxed: bool, circled: bool):
-    return _GAMMA[boxed, circled]
-
-
-def _gamma_tilde_weight(boxed: bool, circled: bool, entry: int):
-    return (_GAMMA_ODD if entry % 2 else _GAMMA)[boxed, circled]
-
-
-def _count_weights(flags, weight):
-    """The triple (sign, e, gen) of the product of weight(*f) over the flag
-    tuples f, or None at the first zero factor."""
+def _count_weights(flags):
+    """The triple (sign, e, gen) of the product of the weights of the flag
+    tuples f, or None at the first zero factor: gamma of a (boxed, circled)
+    pair, gamma-tilde of a (boxed, circled, entry) triple."""
     sign, e, gen = 1, 0, 0
     for f in flags:
-        w = weight(*f)
+        w = (_GAMMA_ODD if len(f) > 2 and f[2] % 2 else _GAMMA)[f[0], f[1]]
         if w is None:
             return None
         sign *= w[0]
@@ -146,7 +140,7 @@ def gamma(boxed: bool, circled: bool) -> LaurentPoly:
 
 
 def gamma_tilde(boxed: bool, circled: bool, entry: int) -> LaurentPoly:
-    return _gamma_product([(boxed, circled, entry)], _gamma_tilde_weight)
+    return _gamma_product([(boxed, circled, entry)])
 
 
 # -- flavor B ----------------------------------------------------------------
@@ -211,11 +205,11 @@ def decorate_B(t: ShortPatternB) -> DecoratedArray:
     return DecoratedArray(entries, boxed, circled)
 
 
-def _gamma_product(flags, weight=_gamma_weight) -> LaurentPoly:
-    """Product of the weights of the flag tuples f: gamma over (boxed,
-    circled) pairs by default.  The factors are counted, not multiplied,
-    and the product is expanded once."""
-    w = _count_weights(flags, weight)
+def _gamma_product(flags) -> LaurentPoly:
+    """Product of the weights of the flag tuples f (see _count_weights).
+    The factors are counted, not multiplied, and the product is expanded
+    once."""
+    w = _count_weights(flags)
     return _Q0 if w is None else _expand([(w, 1)])
 
 
@@ -499,7 +493,7 @@ def decorate_C_pullback(d, muprime) -> DecoratedArray:
 
 
 def g_delta_C(arr: DecoratedArray) -> LaurentPoly:
-    return _gamma_product(zip(arr.boxed, arr.circled, arr.entries), _gamma_tilde_weight)
+    return _gamma_product(zip(arr.boxed, arr.circled, arr.entries))
 
 
 def k_vector_C(d, r: int) -> tuple:
@@ -534,7 +528,7 @@ def cqc_layer_sums(muprime: tuple):
     r, a0 = len(muprime), top_row(muprime)
     buckets = {}
     for d in iter_cqc(muprime):
-        w = _count_weights(_pullback_flags_C(d, a0), _gamma_tilde_weight)
+        w = _count_weights(_pullback_flags_C(d, a0))
         if w is not None:
             buckets.setdefault(k_vector_C(d, r), Counter())[w] += 1
     sums = {k: _expand(counts.items()) for k, counts in buckets.items()}

@@ -115,14 +115,6 @@ class Tableau:
             comps.append(comp)
         return comps
 
-    def pretty(self) -> str:
-        lines = []
-        width = max((len(symbol_name(c)) for _, _, c in self.cells()), default=1)
-        for li, row in enumerate(self.rows):
-            pad = " " * ((width + 1) * li)
-            lines.append(pad + " ".join(symbol_name(c).rjust(width) for c in row))
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class TableauStats:
@@ -130,12 +122,9 @@ class TableauStats:
     x: tuple  # x[m-1] = count of unbarred m
     xbar: tuple  # xbar[m-1] = count of barred m
     wt: tuple  # (x_r - xbar_r, ..., x_1 - xbar_1)
-    row_unbarred: tuple
-    row_barred: tuple
-    con_barred: tuple
     hgtbar: int
-    l_values: tuple  # l_S(m) for m = 1..r
-    l_total: int
+    l_values: Optional[tuple]  # l_S(m) for m = 1..r; None outside the circle
+    l_total: Optional[int]
 
 
 def count_rows(s: Tableau) -> tuple:
@@ -272,21 +261,22 @@ def in_st_circle(s: Tableau) -> bool:
 
 def statistics(s: Tableau) -> TableauStats:
     """All tableau statistics; the row statistic l needs a circle member."""
-    return _statistics(symbol_strips(s), partial=False)
+    st = _statistics(symbol_strips(s))
+    if st.l_values is None:
+        raise ValueError("the row statistic needs a circle-subset tableau")
+    return st
 
 
-def _statistics(strips: tuple, partial: bool) -> TableauStats:
-    """With ``partial`` the l-values come back as None instead of raising
-    when some symbol has several odd-count rows (outside the circle)."""
+def _statistics(strips: tuple) -> TableauStats:
+    """The statistics summed over the symbols' strips.  The l-values are
+    None when some symbol has several odd-count rows (outside the circle)."""
     x, xbar, row_u, row_b, con_u, con_b, l_values, _ = zip(*strips)
     wt = tuple(a - b for a, b in zip(reversed(x), reversed(xbar)))
     hgtbar = sum(row_b) - sum(con_b) - sum(row_u)
     if None in l_values:
-        if not partial:
-            raise ValueError("the row statistic needs a circle-subset tableau")
         l_values = None
     return TableauStats(
-        sum(con_u) + sum(con_b), x, xbar, wt, row_u, row_b, con_b, hgtbar,
+        sum(con_u) + sum(con_b), x, xbar, wt, hgtbar,
         l_values, sum(l_values) if l_values is not None else None,
     )
 
@@ -359,7 +349,7 @@ def _corollary_rhs_by_enumeration(lam, r: int = None) -> LaurentPoly:
 
 def tableau_json(s: Tableau) -> str:
     strips = symbol_strips(s)
-    st = _statistics(strips, partial=True)
+    st = _statistics(strips)
     record = {
         "rank": s.rank,
         "rows": [[symbol_name(c) for c in row] for row in s.rows],

@@ -13,8 +13,7 @@ weight triples (see padic), expanded once per weighting vector.
 The recursion filters the layer vectors k' to have even entries before the
 last coordinate; the filter is redundant on the support (tested) since the
 decorated sums vanish otherwise.  Layers whose shifted weight would leave
-the dominant cone contribute nothing; any such nonzero layer is recorded in
-NEGATIVE_NU_EVENTS (none are expected).
+the dominant cone are skipped; none carries a nonzero sum (tested).
 
 The two coefficient bridges read H off the two sides of the deformed
 denominator identity at t = -1/q (a direct map of the keys): prop3 off
@@ -36,8 +35,6 @@ from .padic import cqc_layer_sums
 from .rootdata import character, deformed_denominator, shifted_weight
 
 _Q0 = LaurentPoly.zero(0)
-
-NEGATIVE_NU_EVENTS: list = []
 
 
 def h_base(k: int, m: int) -> LaurentPoly:
@@ -101,7 +98,6 @@ def h_table(lam: tuple) -> dict:
             continue  # redundant on the support; kept as the outer-sum filter
         nu = _nu_shift(lam, kp)
         if any(x < 0 for x in nu):
-            NEGATIVE_NU_EVENTS.append((lam, kp))
             continue
         assert shifted_weight(nu) == _mu_second(lam, kp)
         shift = 2 * (kp[r - 1] + sum(kp[: r - 1]) // 2)
@@ -164,8 +160,6 @@ def _z_of_k(a0: tuple, k: tuple) -> tuple:
 
 @dataclass
 class CheckResult:
-    claim: str
-    params: dict
     mismatches: list = field(default_factory=list)
     checked: int = 0
 
@@ -186,7 +180,7 @@ def _at_minus_qinv(poly: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._make({m: c for m, c in out.items() if c}, r)
 
 
-def _bridge(claim: str, lam: tuple, poly: LaurentPoly) -> CheckResult:
+def _bridge(lam: tuple, poly: LaurentPoly) -> CheckResult:
     """A rank-r (z, q) polynomial against the flat coefficients, split by k.
 
     Each z-monomial of ``poly`` must carry a k (by _k_of_z), and its
@@ -197,7 +191,7 @@ def _bridge(claim: str, lam: tuple, poly: LaurentPoly) -> CheckResult:
     """
     r = len(lam)
     a0 = top_row(shifted_weight(lam))
-    result = CheckResult(claim, {"lambda": list(lam), "rank": r})
+    result = CheckResult()
 
     # The polynomial split by k: each part keeps its (t, q) exponents only.
     parts = {}
@@ -239,7 +233,7 @@ def gh_check(lam) -> CheckResult:
     """The circle-pattern sum (tokuyama_rhs) at t = -1/q against the flat
     coefficients: the patterns of weight -z(k) sum to q^(-sum k) H(p^k)."""
     lam = tuple(lam)
-    return _bridge("gh", lam, _at_minus_qinv(tokuyama_rhs(lam)))
+    return _bridge(lam, _at_minus_qinv(tokuyama_rhs(lam)))
 
 
 def prop3_check(lam) -> CheckResult:
@@ -247,4 +241,4 @@ def prop3_check(lam) -> CheckResult:
     lam = tuple(lam)
     r = len(lam)
     product = _at_minus_qinv(deformed_denominator(r)) * character(lam, r)
-    return _bridge("prop3", lam, product)
+    return _bridge(lam, product)

@@ -237,6 +237,9 @@ def test_enumerate_cq_csv():
         ("enumerate", "gt", "--mu", "2,2", "--format", "csv"),
         ("enumerate", "cq", "--muprime", "2,1", "--limit", "1"),
         ("enumerate", "omega", "--mu", "2,2", "--circle-only"),
+        # a flag the others given would leave unread
+        ("verify", "prop6", "--mu", "1,1", "--k", "1,1", "--kmax", "0"),
+        ("enumerate", "omega", "--mu", "1,1", "--weighting", "A"),
     ],
     ids=" ".join,
 )

@@ -91,7 +91,7 @@ def test_substitute_examples():
     assert out == LaurentPoly.parse("1 + -1 * q^{-1}", 1)
     tmax = LaurentPoly.monomial(1, texp=3)
     assert tmax.substitute({"t": 0}) == LaurentPoly.zero(1)
-    qhalf = LaurentPoly.q_var(1, half=True)
+    qhalf = LaurentPoly.monomial(1, qexp=Fraction(1, 2))
     assert qhalf.substitute({"q": 9}) == LaurentPoly.const(3, 1)
     with pytest.raises(SubstitutionError):
         qhalf.substitute({"q": 3})

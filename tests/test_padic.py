@@ -11,7 +11,6 @@ from spinchar.padic import (
     ShortPatternB,
     _cyclotomic_sum,
     _gamma_product,
-    _gamma_tilde_weight,
     brute_force_G,
     closed_form_G,
     component_decomposition,
@@ -311,7 +310,7 @@ def test_gamma_product_counts_the_factors():
         for flags in itertools.product(pairs, repeat=n):
             assert _gamma_product(flags) == by_factors(flags), flags
         for flags in itertools.combinations_with_replacement(triples, n):
-            assert _gamma_product(flags, _gamma_tilde_weight) == by_factors(flags), flags
+            assert _gamma_product(flags) == by_factors(flags), flags
 
 
 def test_cqc_layer_sums_match_the_per_tuple_sum():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import subprocess
 import sys
 
@@ -208,12 +209,18 @@ def test_term_match_and_aggregate():
             assert tableau_term(s) == expected
 
 
-def test_pretty_is_shifted():
-    s = from_gt(EXAMPLE)
-    lines = s.pretty().splitlines()
-    assert len(lines) == 5
-    indents = [len(line) - len(line.lstrip()) for line in lines]
-    assert indents == sorted(indents)
+def test_row_statistic_is_undefined_off_the_circle():
+    # rows 1' 1' 1' 2 / 2' 2: symbol 2 has an odd count in both rows, so
+    # l has no value; the per-tableau term refuses, the record prints null
+    s = Tableau(2, ((1, 1, 1, 4), (3, 4)))
+    s.validate()
+    assert not in_st_circle(s)
+    with pytest.raises(ValueError, match="row statistic"):
+        statistics(s)
+    with pytest.raises(ValueError, match="row statistic"):
+        tableau_term(s)
+    record = json.loads(tableaux.tableau_json(s))
+    assert record["l"] is None and record["in_circle"] is False
 
 
 ENUMERATION_CASES = (

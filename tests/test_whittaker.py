@@ -12,7 +12,6 @@ from spinchar.laurent import LaurentPoly, Monomial
 from spinchar.padic import cqc_layer_sums
 from spinchar.rootdata import character, deformed_denominator, upsilon
 from spinchar.whittaker import (
-    NEGATIVE_NU_EVENTS,
     gh_check,
     h_base,
     h_coeff,
@@ -109,15 +108,30 @@ def test_prop3_rank1_and_rank2():
         assert prop3_check(lam).ok
 
 
-def test_negative_nu_guard_is_never_exercised():
+def test_negative_nu_guard_is_never_exercised(monkeypatch):
     # with the pullback decoration, fibers that would shift the weight out
-    # of the dominant cone always carry zero sums: the guard stays idle
+    # of the dominant cone always carry zero sums: the guard stays idle.
+    # Every shifted weight of every layer, the nested tables' included,
+    # goes through _nu_shift, so a wrapper there sees each one.
+    calls, events = [], []
+    nu_shift = whittaker._nu_shift
+
+    def recording(lam, kp):
+        nu = nu_shift(lam, kp)
+        calls.append(lam)
+        if any(x < 0 for x in nu):
+            events.append((lam, kp))
+        return nu
+
+    monkeypatch.setattr(whittaker, "_nu_shift", recording)
     h_table.cache_clear()
-    before = len(NEGATIVE_NU_EVENTS)
-    for lam in itertools.product(range(2), repeat=2):
-        assert gh_check(lam).ok
-    assert gh_check((0, 0, 0)).ok and gh_check((1, 0, 1)).ok
-    assert len(NEGATIVE_NU_EVENTS) == before
+    grid = list(itertools.product(range(2), repeat=2)) + [
+        (0, 0, 0), (1, 0, 1), (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1),
+    ]
+    for lam in grid:
+        assert gh_check(lam).ok, lam
+    assert {len(lam) for lam in calls} == {2, 3, 4}
+    assert events == []
 
 
 def test_mu_second_consistency_runs():
@@ -151,11 +165,11 @@ def test_bridge_reports_a_stray_monomial_and_a_wrong_coefficient():
     a0 = top_row(upsilon((2, 3)))
     tsub = LaurentPoly.monomial(2, qexp=-1, coef=-1)
     poly = deformed_denominator(2).substitute({"t": tsub}) * character(lam)
-    assert whittaker._bridge("prop3", lam, poly).ok
+    assert whittaker._bridge(lam, poly).ok
 
     # z_1 one half-step off every k: no k carries the monomial
     stray = LaurentPoly({Monomial((1 - a0[0], -a0[1]), 0, 0): 1}, 2)
-    res = whittaker._bridge("prop3", lam, poly + stray)
+    res = whittaker._bridge(lam, poly + stray)
     assert {m.get("error") for m in res.mismatches} == {
         "no matching k index", "reconstruction differs from the polynomial"
     }
@@ -166,7 +180,7 @@ def test_bridge_reports_a_stray_monomial_and_a_wrong_coefficient():
     # the constant term at one k of the support raised by 1
     k = sorted(h_support(lam))[1]
     off = LaurentPoly({Monomial(whittaker._z_of_k(a0, k), 0, 0): 1}, 2)
-    res = whittaker._bridge("prop3", lam, poly + off)
+    res = whittaker._bridge(lam, poly + off)
     assert [m["k"] for m in res.mismatches if "k" in m] == [list(k)]
     assert {"error": "reconstruction differs from the polynomial"} in res.mismatches
 
@@ -189,7 +203,7 @@ def test_bridge_report_does_not_depend_on_term_order():
     for _ in range(4):
         terms = list(spoiled.terms.items())
         rng.shuffle(terms)
-        res = whittaker._bridge("prop3", lam, LaurentPoly(dict(terms), 2))
+        res = whittaker._bridge(lam, LaurentPoly(dict(terms), 2))
         reports.append((res.mismatches, res.checked))
     assert all(report == reports[0] for report in reports)
     listed = [m["monomial"] for m in reports[0][0] if "monomial" in m]
