@@ -299,8 +299,8 @@ def _enumerate_omega(args) -> None:
     mu = _mu(args, least=0, least_rank=1)
     if args.index is not None and not 1 <= args.index <= len(mu):
         raise UsageError(f"--index must lie in 1..{len(mu)}, got {args.index}")
-    if args.weighting is not None and args.k_scalar is None:
-        raise UsageError("--weighting filters by --k-scalar, which is missing")
+    if (args.weighting is None) != (args.k_scalar is None):
+        raise UsageError("--weighting and --k-scalar must be given together")
     for t in padic.omega_sets(
         mu, args.kind_rel, weighting=args.weighting, k=args.k_scalar, i=args.index
     ):

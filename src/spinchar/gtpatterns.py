@@ -24,10 +24,12 @@ they are defined; a GTPattern sums or conjoins them over its slices.  The
 slice is also the unit of generation and validation: _slices_below yields
 every slice below an a-row, for enumerate_strict, enumerate_short and
 slice_walk alike, and GTPattern.validate checks slice by slice.  The
-pattern-side sum uses that locality directly (circle_sum, a transfer over
-a-rows by slice_walk, which the tableau-side sum shares with its own
-per-slice scorer); enumerate_strict with in_gt_circle is the independent
-oracle.
+pattern-side sum uses that locality directly: slice_walk, a transfer over
+a-rows, adds per-slice keys (w, a, b, c) along each pattern, and
+circle_sum scores a slice by its weight and statistics, and checks the
+two circle tests on it.  The tableau-side sum runs the same walk with its
+own per-slice scorer.  enumerate_strict with in_gt_circle is the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -389,30 +391,28 @@ def enumerate_circle(mu):
             yield p
 
 
-def slice_walk(top, score, join, leaf) -> dict:
+def slice_walk(top, score) -> dict:
     """{key: number of patterns} over the strict patterns with top row ``top``.
 
     A transfer over a-rows: a pattern is a chain of slices (a_{i-1}, b_i,
     a_i), so the rows below an a-row are summed once (memoized on the a-row)
     and joined to each slice above it.  ``score(a0, b1, a1)`` gives one
-    slice's key, or None to drop the slice.  ``join(key, count, tails,
-    out)`` joins a slice key, held by ``count`` slices, to the tally
-    {tail key: count} of the patterns below their a1, adding each kept
-    joined key with its count into ``out``.  ``leaf`` is the key of the
-    empty pattern below the last slice.  There are no patterns (and the
-    result is empty) when the top row is not strictly decreasing.
+    slice's key (w, a, b, c), or None to drop the slice.  A pattern's key is
+    the tuple of its slices' w, top slice first, followed by the sums of
+    their a, b and c.  There are no patterns (and the result is empty) when
+    the top row is not strictly decreasing.
     """
     top = tuple(top)
     if not _strictly_decreasing(top):
         return {}
-    memo = {(): {leaf: 1}}
+    memo = {(): {((), 0, 0, 0): 1}}
 
     def below(arow):
         if arow in memo:
             return memo[arow]
         by_a1 = {}  # slice tallies grouped by the next a-row
-        for b, a1 in _slices_below(arow):
-            key = score(arow, b, a1)
+        for b1, a1 in _slices_below(arow):
+            key = score(arow, b1, a1)
             if key is None:
                 continue
             tally = by_a1.setdefault(a1, {})
@@ -420,8 +420,10 @@ def slice_walk(top, score, join, leaf) -> dict:
         out = {}
         for a1, tally in by_a1.items():
             rest = below(a1)
-            for key, count in tally.items():
-                join(key, count, rest, out)
+            for (w, a, b, c), count in tally.items():
+                for (tw, ta, tb, tc), tcount in rest.items():
+                    joined = ((w,) + tw, a + ta, b + tb, c + tc)
+                    out[joined] = out.get(joined, 0) + count * tcount
         memo[arow] = out
         return out
 
@@ -433,11 +435,13 @@ def circle_sum(mu) -> dict:
 
     Returns {(wt, max, max1, gen): number of circle patterns}, the same
     tally as over enumerate_circle(mu), by slice_walk: every input to a
-    pattern's weight lives in one slice.  A path carries two flags, "every
-    slice even by c-statistic" and "every slice passes row-parity", and is
-    dropped once both are false.  Both guards of the enumeration route
-    hold: on a doubled top a pattern whose flags differ raises
-    RuntimeError, and max1 must be even on every circle pattern.
+    pattern's weight lives in one slice, and a slice is kept when its
+    c-statistics are even.  Both guards of the enumeration route hold.  On
+    a doubled top, a slice whose row-parity test disagrees with its
+    c-statistic test raises RuntimeError.  That covers every pattern: the
+    walk scores each slice below the top row or below a kept slice, so it
+    scores the first slice where a pattern's two characterizations part.
+    And max1 must be even on every circle pattern.
     """
     top = top_row(mu)
     ref = top[-1] % 2
@@ -445,30 +449,20 @@ def circle_sum(mu) -> dict:
 
     def score(a0, b1, a1):
         s = ShortGTPattern(len(a0), a0, b1, a1)
-        by_cstat = s.in_circle()
-        by_rows = s.in_circle_by_row_parity(ref) if doubled else by_cstat
-        if not (by_cstat or by_rows):
-            return None
-        st = s.stats()
-        return (s.wt1(), st.max, st.max1, st.gen, by_cstat, by_rows)
-
-    def join(key, count, tails, out):
-        w, m, m1, g, fc, fr = key
-        for (tw, tm, tm1, tg, tfc, tfr), tcount in tails.items():
-            fc2, fr2 = fc and tfc, fr and tfr
-            if fc2 or fr2:
-                joined = ((w,) + tw, m + tm, m1 + tm1, g + tg, fc2, fr2)
-                out[joined] = out.get(joined, 0) + count * tcount
-
-    total = {}
-    walk = slice_walk(top, score, join, ((), 0, 0, 0, True, True))
-    for (wt, nmax, max1, gen, by_cstat, by_rows), count in walk.items():
-        if by_cstat != by_rows:
+        even = s.in_circle()
+        if doubled and s.in_circle_by_row_parity(ref) != even:
             raise RuntimeError(
                 f"circle-membership characterizations disagree under top row {top}"
             )
-        assert max1 % 2 == 0, f"odd max1 in circle subset under top row {top}"
-        total[(wt, nmax, max1, gen)] = count
+        if not even:
+            return None
+        st = s.stats()
+        return (s.wt1(), st.max, st.max1, st.gen)
+
+    total = slice_walk(top, score)
+    for _, _, max1, _ in total:
+        if max1 % 2:  # raised, not asserted, so that python -O keeps it
+            raise AssertionError(f"odd max1 in circle subset under top row {top}")
     return total
 
 
@@ -509,9 +503,10 @@ def g_weight(p) -> LaurentPoly:
 def tokuyama_rhs(lam, r: int = None) -> LaurentPoly:
     """Sum of G(P) z^(-wt(P)/2) over the circle subset for top row v(lam+rho).
 
-    Summed from circle_sum, so the evenness of max1 is asserted on every
+    Summed from circle_sum, so the evenness of max1 is checked on every
     contributing pattern and the two circle characterizations are
-    cross-checked on all of them.  lam must be dominant of rank r.
+    cross-checked on every slice the walk scores.  lam must be dominant of
+    rank r.
     """
     lam = dominant(lam, r)
     terms = {}

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .laurent import LaurentPoly, Monomial, prod
 
@@ -144,12 +143,6 @@ def weyl_numerator(nu: tuple, r: int = None) -> LaurentPoly:
     return LaurentPoly(terms, r)
 
 
-@lru_cache(maxsize=None)
-def _character_cached(lam: tuple, r: int) -> LaurentPoly:
-    nu = lambda_to_evee([l + 1 for l in lam], r)
-    return weyl_numerator(nu, r).div_exact(weyl_numerator(rho(r), r))
-
-
 def dominant(lam, r: int = None) -> tuple:
     """lam as a tuple, checked to be a dominant weight of rank r (default
     len(lam)): nonnegative fundamental-weight coordinates, r of them."""
@@ -168,7 +161,9 @@ def character(lam, r: int = None) -> LaurentPoly:
     Computed as the exact quotient N(lam + rho) / N(rho).
     """
     lam = dominant(lam, r)
-    return _character_cached(lam, len(lam))
+    r = len(lam)
+    nu = lambda_to_evee([l + 1 for l in lam], r)
+    return weyl_numerator(nu, r).div_exact(weyl_numerator(rho(r), r))
 
 
 def weyl_dimension(lam, r: int = None) -> int:

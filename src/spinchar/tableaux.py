@@ -27,9 +27,10 @@ are connected exactly when their columns overlap, so components are
 counted from runs.  score_strip (cached) gives a symbol's share, both
 circle conditions for it included; symbol_strips scores the slices of a
 tableau's count rows, and corollary_rhs sums over chains of shapes with
-gtpatterns.slice_walk, scoring the same slices once each and never
-touching the pattern statistics.  The enumeration sum stays as the oracle
-_corollary_rhs_by_enumeration.
+gtpatterns.slice_walk, scoring the same slices once each (_strip_key) and
+never touching the pattern statistics.  The walk adds the strip keys along
+a chain, so it counts the strips with odd l, whose parity gives the sign.
+The enumeration sum stays as the oracle _corollary_rhs_by_enumeration.
 """
 
 from __future__ import annotations
@@ -303,19 +304,16 @@ def tableau_term(s: Tableau) -> LaurentPoly:
 
 
 def _strip_key(hi: tuple, mid: tuple, lo: tuple):
-    """(wt share, t share, l mod 2, str share) of a circle strip, else None."""
+    """(wt share, t share, l mod 2, str share) of a circle strip, else None.
+
+    slice_walk sums the third slot along a chain, so there it counts the
+    strips with odd l; only its parity is read.
+    """
     st = score_strip(hi, mid, lo)
     if not st.in_circle:
         return None
     t = st.row_b - st.con_b - st.row_u + st.l
     return (st.x - st.xbar, t, st.l % 2, st.con_u + st.con_b)
-
-
-def _join_strip_keys(key, count, tails, out):
-    w, t, l, n = key
-    for (tw, tt, tl, tn), tcount in tails.items():
-        joined = ((w,) + tw, t + tt, (l + tl) % 2, n + tn)
-        out[joined] = out.get(joined, 0) + count * tcount
 
 
 def corollary_rhs(lam, r: int = None) -> LaurentPoly:
@@ -329,9 +327,8 @@ def corollary_rhs(lam, r: int = None) -> LaurentPoly:
     lam = dominant(lam, r)
     top = top_row(shifted_weight(lam))
     terms = {}
-    chains = slice_walk(top, _strip_key, _join_strip_keys, ((), 0, 0, 0))
-    for (wt, t, l_parity, str_total), count in chains.items():
-        _add_term(terms, len(top), wt, l_parity, t, str_total, count)
+    for (wt, t, odd_l, str_total), count in slice_walk(top, _strip_key).items():
+        _add_term(terms, len(top), wt, odd_l, t, str_total, count)
     return LaurentPoly._make(terms, len(lam))
 
 

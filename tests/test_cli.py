@@ -249,6 +249,8 @@ def test_malformed_calls_are_usage_errors(argv):
     assert "Traceback" not in out.stderr
     assert len(out.stderr.strip().splitlines()) == 1
     assert out.stdout == ""
+    if "--k-scalar" in argv:  # the missing flag is the one named
+        assert "--weighting" in out.stderr
 
 
 class _ClosedPipe:

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -7,6 +9,7 @@ from spinchar.gtpatterns import (
     GTPattern,
     PatternStats,
     ShortGTPattern,
+    _slices_below,
     circle_sum,
     enumerate_circle,
     enumerate_short,
@@ -141,17 +144,46 @@ def test_circle_sum_matches_enumeration(lam):
     assert tokuyama_rhs(lam) == LaurentPoly(terms, len(lam))
 
 
-@pytest.mark.parametrize("verdict", [False, True])
-def test_transfer_keeps_characterization_cross_check(monkeypatch, verdict):
-    # a row-parity test that disagrees with the c-statistic test somewhere
-    # must stop both routes, as on the enumeration route before
-    monkeypatch.setattr(
-        ShortGTPattern, "in_circle_by_row_parity", lambda self, ref=None: verdict
-    )
+_ROW_PARITY = ShortGTPattern.in_circle_by_row_parity
+
+
+def _flipped_on_bottom_slices(self, ref=None):
+    return _ROW_PARITY(self, ref) != (self.rank == 1)
+
+
+@pytest.mark.parametrize(
+    "row_parity",
+    [lambda self, ref=None: False, lambda self, ref=None: True, _flipped_on_bottom_slices],
+    ids=["False", "True", "flipped-on-bottom-slices"],
+)
+def test_transfer_keeps_characterization_cross_check(monkeypatch, row_parity):
+    # a row-parity test that disagrees with the c-statistic test somewhere,
+    # below the top slice too, must stop both routes, as on the enumeration
+    # route before
+    monkeypatch.setattr(ShortGTPattern, "in_circle_by_row_parity", row_parity)
     with pytest.raises(RuntimeError):
         tokuyama_rhs((1, 0))
     with pytest.raises(RuntimeError):
         list(enumerate_circle(upsilon((2, 1))))
+
+
+@pytest.mark.parametrize("lam", [lam for lam, _ in THEOREM1_CASES], ids=str)
+def test_slice_tests_agree_below_rows_of_the_top_parity(lam):
+    # circle_sum compares the two circle tests slice by slice.  It scores
+    # the slices below the top row and below the a_1 of kept slices, whose
+    # entries all have the top row's parity.  Below such rows the tests
+    # agree on every slice, so that check raises only on a fault
+    top = top_row(upsilon(tuple(l + 1 for l in lam)))
+    ref = top[-1] % 2
+    rows, seen = [top], {top}
+    while rows:
+        a0 = rows.pop()
+        for b, a1 in _slices_below(a0):
+            s = ShortGTPattern(len(a0), a0, b, a1)
+            assert s.in_circle_by_row_parity(ref) == s.in_circle(), (a0, b, a1)
+            if a1 and a1 not in seen and all(v % 2 == ref for v in a1):
+                seen.add(a1)
+                rows.append(a1)
 
 
 def test_transfer_keeps_odd_max1_guard(monkeypatch):
@@ -162,6 +194,23 @@ def test_transfer_keeps_odd_max1_guard(monkeypatch):
     )
     with pytest.raises(AssertionError, match="odd max1"):
         tokuyama_rhs((2,))
+
+
+def test_odd_max1_guard_holds_without_asserts():
+    # circle_sum alone, under python -O, still refuses an odd max1
+    code = (
+        "from spinchar.gtpatterns import PatternStats, ShortGTPattern, circle_sum\n"
+        "real = ShortGTPattern.stats\n"
+        "ShortGTPattern.stats = lambda self: PatternStats(*real(self)[:3], real(self).max1 + 1)\n"
+        "try:\n"
+        "    circle_sum((3,))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 3, out.stderr
 
 
 def test_diagonal_condition_enforced():
