@@ -356,8 +356,11 @@ def _coeff(args) -> None:
         if "=" not in fix:
             raise UsageError("--fix expects VAR=EXPONENT, e.g. z2=11/2")
         name, _, value = fix.partition("=")
+        name = name.strip()
+        if name in constraints:
+            raise UsageError(f"--fix {name} is given twice; fix each variable once")
         try:
-            constraints[name.strip()] = Fraction(value.strip())
+            constraints[name] = Fraction(value.strip())
         except ZeroDivisionError:
             raise UsageError(f"--fix {fix}: the exponent has a zero denominator")
     print(product.coefficient_of(constraints) if constraints else product)

@@ -20,16 +20,17 @@ rank-one weight table at b = mu = 0.
 
 Classes, statistics, wt_i and both circle tests of an entry in row b_i or
 a_i depend only on the slice (a_{i-1}, b_i, a_i), a ShortGTPattern, where
-they are defined; a GTPattern sums or conjoins them over its slices.  The
-slice is also the unit of generation and validation: _slices_below yields
-every slice below an a-row, for enumerate_strict, enumerate_short and
-slice_walk alike, and GTPattern.validate checks slice by slice.  The
-pattern-side sum uses that locality directly: slice_walk, a transfer over
-a-rows, adds per-slice keys (w, a, b, c) along each pattern, and
-circle_sum scores a slice by its weight and statistics, and checks the
-two circle tests on it.  The tableau-side sum runs the same walk with its
-own per-slice scorer.  enumerate_strict with in_gt_circle is the
-independent oracle.
+they are defined once per distinct slice; a GTPattern sums or conjoins them
+over its slices.  The slice is also the unit of generation and validation:
+_slices_below yields every slice below an a-row, for enumerate_strict,
+enumerate_short and slice_walk alike, and GTPattern.validate checks slice
+by slice.  Circle membership is decided per slice by one guard, _in_circle:
+a slice is kept when its c-statistics are even, and below an a-row of one
+parity its row-parity test must agree.  in_gt_circle conjoins the guard
+over a pattern's slices; circle_sum scores slices with it in slice_walk, a
+transfer over a-rows that adds per-slice keys (w, a, b, c) along each
+pattern.  The tableau-side sum runs the same walk with its own per-slice
+scorer.  enumerate_strict with in_gt_circle is the independent oracle.
 """
 
 from __future__ import annotations
@@ -160,10 +161,12 @@ class ShortGTPattern:
     a1: tuple
     # Derived once, when the slice is made, and read-only (slices are shared):
     # {(kind, j): (class, c-statistic)} for the entries of b_1 and a_1, the
-    # statistics, and the circle flag.
+    # statistics, both circle flags, and whether a_0 has one parity.
     entries: dict = field(init=False, repr=False, compare=False)
     _stats: PatternStats = field(init=False, repr=False, compare=False)
     _even: bool = field(init=False, repr=False, compare=False)
+    _rows: bool = field(init=False, repr=False, compare=False)
+    _one_parity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r, a0, b1, a1 = self.rank, self.a0, self.b1, self.a1
@@ -196,10 +199,18 @@ class ShortGTPattern:
             elif cls == MAXIMAL:
                 nmax += 1
                 max1 += c % 2
+        ref = a0[-1] % 2
+        bad = [j for j in range(r) if b1[j] % 2 != ref]
+        rows = all(v % 2 == ref for v in a1) and (
+            not bad or len(bad) == 1
+            and all(b1[j] == a1[j - 1] == a0[j] for j in range(bad[0] + 1, r))
+        )
         self.__dict__.update(  # frozen: bypass __setattr__
             entries=entries,
             _stats=PatternStats(gen, nmax, nmax - max1, max1),
             _even=even,
+            _rows=rows,
+            _one_parity=all(v % 2 == ref for v in a0),
         )
 
     def c_stat(self, kind: str, j: int) -> int:
@@ -214,22 +225,14 @@ class ShortGTPattern:
         """Every generic entry has an even statistic."""
         return self._even
 
-    def in_circle_by_row_parity(self, ref: int) -> bool:
+    def in_circle_by_row_parity(self) -> bool:
         """The slice's share of the row-parity characterization.
 
-        With parity reference ``ref`` (the pattern's mu_r = a_{0,r} mod 2):
-        every a_1 entry has that parity, and b_1 has at most one entry
-        b_{1,j0} off it, right of which b_{1,j} = a_{1,j} = a_{0,j}.
+        With parity reference a_{0,r} mod 2: every a_1 entry has that
+        parity, and b_1 has at most one entry b_{1,j0} off it, right of
+        which b_{1,j} = a_{1,j} = a_{0,j}.
         """
-        a0, b1, a1 = self.a0, self.b1, self.a1
-        if any(v % 2 != ref for v in a1):
-            return False
-        bad = [j for j in range(self.rank) if b1[j] % 2 != ref]
-        if len(bad) > 1:
-            return False
-        return not bad or all(
-            b1[j] == a1[j - 1] == a0[j] for j in range(bad[0] + 1, self.rank)
-        )
+        return self._rows
 
     def wt1(self) -> int:
         return sum(self.a0) - 2 * sum(self.b1) + sum(self.a1)
@@ -358,31 +361,29 @@ def gt_circle_by_row_parity(p: GTPattern) -> bool:
     With parity reference mu_r = a_{0,r}: (1) all a-entries below the top
     row match that parity; (2) each b-row has at most one mismatched entry
     b_{i,j0}, and to its right b_{i,j} = a_{i,j} = a_{i-1,j} for all j > j0.
+    Each slice tests against its own a_{i-1,r}; along slices that pass,
+    that is mu_r's parity, so the conjunction is the same.
     """
-    ref = p.arows[0][-1] % 2
-    return all(s.in_circle_by_row_parity(ref) for s in p.slices)
+    return all(s.in_circle_by_row_parity() for s in p.slices)
 
 
-def _is_doubled(top) -> bool:
-    """Whether the top row comes from a doubled vector (mu_j even for j < r)."""
-    return all((top[k] - top[k + 1]) % 2 == 0 for k in range(len(top) - 1))
+def _in_circle(s: ShortGTPattern) -> bool:
+    """Whether a slice keeps its patterns in the circle subset: its
+    c-statistics are even.
+
+    When a_0 has one parity, the row-parity test must agree; disagreement
+    is an internal failure.  Every a-row that a doubled top reaches
+    through kept slices has one parity.
+    """
+    even = s.in_circle()
+    if s._one_parity and s.in_circle_by_row_parity() != even:
+        raise RuntimeError(f"circle-membership characterizations disagree on {s}")
+    return even
 
 
 def in_gt_circle(p: GTPattern) -> bool:
-    """Circle-subset membership via the statistic-parity definition.
-
-    When the top row comes from a doubled vector (all mu_j even for j < r)
-    the row-parity characterization must agree; disagreement is an internal
-    failure.  Outside that family only the parity definition applies.
-    """
-    value = gt_circle_by_cstat(p)
-    if _is_doubled(p.arows[0]):
-        alt = gt_circle_by_row_parity(p)
-        if alt != value:
-            raise RuntimeError(
-                f"circle-membership characterizations disagree on {p}"
-            )
-    return value
+    """Circle-subset membership: _in_circle on every slice, top slice first."""
+    return all(_in_circle(s) for s in p.slices)
 
 
 def enumerate_circle(mu):
@@ -435,26 +436,16 @@ def circle_sum(mu) -> dict:
 
     Returns {(wt, max, max1, gen): number of circle patterns}, the same
     tally as over enumerate_circle(mu), by slice_walk: every input to a
-    pattern's weight lives in one slice, and a slice is kept when its
-    c-statistics are even.  Both guards of the enumeration route hold.  On
-    a doubled top, a slice whose row-parity test disagrees with its
-    c-statistic test raises RuntimeError.  That covers every pattern: the
-    walk scores each slice below the top row or below a kept slice, so it
-    scores the first slice where a pattern's two characterizations part.
-    And max1 must be even on every circle pattern.
+    pattern's weight lives in one slice, and a slice is kept by the same
+    guard, _in_circle, that in_gt_circle reads.  The walk scores each slice
+    below the top row or below a kept slice, which are the slices
+    in_gt_circle reaches.  And max1 must be even on every circle pattern.
     """
     top = top_row(mu)
-    ref = top[-1] % 2
-    doubled = _is_doubled(top)
 
     def score(a0, b1, a1):
         s = ShortGTPattern(len(a0), a0, b1, a1)
-        even = s.in_circle()
-        if doubled and s.in_circle_by_row_parity(ref) != even:
-            raise RuntimeError(
-                f"circle-membership characterizations disagree under top row {top}"
-            )
-        if not even:
+        if not _in_circle(s):
             return None
         st = s.stats()
         return (s.wt1(), st.max, st.max1, st.gen)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, eq, ge, gt, le, lt
 
 import numpy as np
 
@@ -466,8 +466,8 @@ def _pullback_flags_C(d: tuple, a0: tuple) -> list:
     # Parity dictionary: entry parities match the pattern statistics,
     # c(b_{1,j}) = c_j mod 2 and c(a_{1,j+1}) = cbar_j.
     cb, ca = c_stats(a0, b1, a1)
-    assert all((x - c) % 2 == 0 for x, c in zip(cb, entries))
-    assert ca == list(entries[: r - 1 : -1])
+    if any((x - c) % 2 for x, c in zip(cb, entries)) or ca != list(entries[: r - 1 : -1]):
+        raise AssertionError(f"pullback parity dictionary fails on d = {d}")
     # c_j <-> b_{1,j}, minimal against a_{0,j+1} (0 past the row's end)
     right = a0[1:] + (0,)
     out = [(x == a, x == b, e) for a, b, x, e in zip(a0, right, b1, entries)]
@@ -538,6 +538,9 @@ def cqc_layer_sums(muprime: tuple):
 # -- totally resonant machinery ----------------------------------------------
 
 
+_RELATIONS = {"<": lt, "<=": le, "=": eq, ">=": ge, ">": gt}
+
+
 def omega_sets(mu, kind: str, weighting: str = None, k: int = None, i: int = None):
     """Resonant r-tuples with d_j <= mu_j (j < i), d_j = mu_j (j > i), and
     d_i related to mu_i by ``kind``; optionally filtered/solved by a
@@ -547,38 +550,28 @@ def omega_sets(mu, kind: str, weighting: str = None, k: int = None, i: int = Non
     r = len(mu)
     if i is None:
         i = r
-    bounded = kind in ("<", "<=", "=")
-    if not bounded and kind not in (">=", ">"):
+    if kind not in _RELATIONS:
         raise ValueError(f"unknown kind {kind!r}")
-
-    def weight(vec):
-        if weighting == "A":
-            return sum(vec)
-        if weighting == "B":
-            return vec[-1] + 2 * sum(vec[:-1])
-        raise ValueError("weighting must be 'A' or 'B'")
-
+    related = _RELATIONS[kind]
     heads = itertools.product(*(range(mu[j] + 1) for j in range(i - 1)))
     tail = tuple(mu[j] for j in range(i, r))
+    if k is None:
+        if kind in (">=", ">"):
+            raise ValueError(f"unbounded kind {kind!r} needs a weighting value")
+        for head in heads:
+            for di in range(mu[i - 1] + 1):
+                if related(di, mu[i - 1]):
+                    yield head + (di,) + tail
+        return
+    if weighting not in ("A", "B"):
+        raise ValueError("weighting must be 'A' or 'B'")
+    coeff = 1 if (weighting == "A" or i == r) else 2  # of d_i in the weight
     for head in heads:
-        if bounded:
-            top = mu[i - 1] if kind != "<" else mu[i - 1] - 1
-            lo = mu[i - 1] if kind == "=" else 0
-            for di in range(lo, top + 1):
-                vec = head + (di,) + tail
-                if k is None or weight(vec) == k:
-                    yield vec
-        else:
-            if k is None:
-                raise ValueError(f"unbounded kind {kind!r} needs a weighting value")
-            coeff = 1 if (weighting == "A" or i == r) else 2
-            rest = weight(head + (0,) + tail)
-            num = k - rest
-            if num < 0 or num % coeff:
-                continue
-            di = num // coeff
-            if di > mu[i - 1] or (di == mu[i - 1] and kind == ">="):
-                yield head + (di,) + tail
+        vec = head + (0,) + tail
+        num = k - (sum(vec) if weighting == "A" else vec[-1] + 2 * sum(vec[:-1]))
+        di = num // coeff
+        if num >= 0 and not num % coeff and related(di, mu[i - 1]):
+            yield head + (di,) + tail
 
 
 def i_box(dtuple, mu) -> int:
@@ -633,7 +626,8 @@ def lemma3_closed(s, mu) -> LaurentPoly:
 def resonant_closed_G(dtuple, mu) -> LaurentPoly:
     t = ShortPatternB(tuple(mu), resonant_lift(dtuple))
     val = closed_form_G(t)
-    assert val is not None  # resonant middles are always covered
+    if val is None:  # resonant middles are always covered
+        raise AssertionError(f"no closed form for the resonant lift of {dtuple}")
     return val
 
 
@@ -754,7 +748,8 @@ def iter_cq1_with_k(mu, kvec):
         t = ShortPatternB(mu, d)
         if not in_cq1(t):
             continue
-        assert k_vector_B(t) == kvec
+        if k_vector_B(t) != kvec:
+            raise AssertionError(f"{d} was built for k = {kvec}, not {k_vector_B(t)}")
         yield t
 
 

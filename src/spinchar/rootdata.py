@@ -182,5 +182,6 @@ def weyl_dimension(lam, r: int = None) -> int:
         value *= Fraction(nu[i], rh[i])
         for j in range(i + 1, r):
             value *= Fraction(nu[i] ** 2 - nu[j] ** 2, rh[i] ** 2 - rh[j] ** 2)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError(f"non-integral dimension {value}")
     return int(value)

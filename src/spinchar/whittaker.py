@@ -99,7 +99,8 @@ def h_table(lam: tuple) -> dict:
         nu = _nu_shift(lam, kp)
         if any(x < 0 for x in nu):
             continue
-        assert shifted_weight(nu) == _mu_second(lam, kp)
+        if shifted_weight(nu) != _mu_second(lam, kp):
+            raise AssertionError(f"_mu_second({lam}, {kp}) is not v({nu} + rho)")
         shift = 2 * (kp[r - 1] + sum(kp[: r - 1]) // 2)
         layer = [(q + shift, c) for (_, q), c in gsum.terms.items()]
         for ksub, hsub in h_table(nu).items():

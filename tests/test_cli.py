@@ -218,6 +218,7 @@ def test_enumerate_cq_csv():
         ("verify", "prop5", "--rank", "3", "--mu", "2,2"),
         ("coeff", "--lambda", "1", "--fix", "z1=1/0"),
         ("coeff", "--lambda", "1,1", "--fix", "w=1"),
+        ("coeff", "--lambda", "1", "--fix", "z1=1", "--fix", "z1=0"),
         ("enumerate", "gt", "--mu", "2,2", "--limit", "0"),
         ("enumerate", "tableaux", "--mu", "2,2", "--limit", "-1"),
         ("enumerate", "gt", "--mu", "2,-1"),
@@ -251,6 +252,8 @@ def test_malformed_calls_are_usage_errors(argv):
     assert out.stdout == ""
     if "--k-scalar" in argv:  # the missing flag is the one named
         assert "--weighting" in out.stderr
+    if argv.count("--fix") > 1:  # so is the variable fixed twice
+        assert "z1" in out.stderr
 
 
 class _ClosedPipe:

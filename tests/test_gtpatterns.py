@@ -147,13 +147,17 @@ def test_circle_sum_matches_enumeration(lam):
 _ROW_PARITY = ShortGTPattern.in_circle_by_row_parity
 
 
-def _flipped_on_bottom_slices(self, ref=None):
-    return _ROW_PARITY(self, ref) != (self.rank == 1)
+def _flipped_on_bottom_slices(self):
+    return _ROW_PARITY(self) != (self.rank == 1)
+
+
+def _always(self):
+    return True
 
 
 @pytest.mark.parametrize(
     "row_parity",
-    [lambda self, ref=None: False, lambda self, ref=None: True, _flipped_on_bottom_slices],
+    [lambda self: False, _always, _flipped_on_bottom_slices],
     ids=["False", "True", "flipped-on-bottom-slices"],
 )
 def test_transfer_keeps_characterization_cross_check(monkeypatch, row_parity):
@@ -165,25 +169,34 @@ def test_transfer_keeps_characterization_cross_check(monkeypatch, row_parity):
         tokuyama_rhs((1, 0))
     with pytest.raises(RuntimeError):
         list(enumerate_circle(upsilon((2, 1))))
+    if row_parity is not _always:  # which agrees on every slice reached here
+        # top row (2, 1) is not doubled, but its one-entry a_1 rows have one
+        # parity, so the slices below them are still checked
+        with pytest.raises(RuntimeError):
+            list(enumerate_circle((1, 1)))
 
 
-@pytest.mark.parametrize("lam", [lam for lam, _ in THEOREM1_CASES], ids=str)
+def _rows_of_one_parity(n, hi):
+    """Strictly decreasing rows of length n, entries in 0..hi, all of one parity."""
+    for parity in (0, 1):
+        yield from itertools.combinations(range(hi - (hi - parity) % 2, -1, -2), n)
+
+
+@pytest.mark.parametrize(
+    "lam", [lam for lam, _ in THEOREM1_CASES] + [(1, 0, 0, 0)], ids=str
+)
 def test_slice_tests_agree_below_rows_of_the_top_parity(lam):
-    # circle_sum compares the two circle tests slice by slice.  It scores
-    # the slices below the top row and below the a_1 of kept slices, whose
-    # entries all have the top row's parity.  Below such rows the tests
-    # agree on every slice, so that check raises only on a fault
+    # The circle guard compares the two circle tests on every slice whose
+    # a_0 has one parity.  Every a-row that a doubled top reaches through
+    # kept slices is such a row, with at most r entries, none above the top
+    # row's first.  The tests agree below every such row, reached or not,
+    # so the guard raises only on a fault
     top = top_row(upsilon(tuple(l + 1 for l in lam)))
-    ref = top[-1] % 2
-    rows, seen = [top], {top}
-    while rows:
-        a0 = rows.pop()
-        for b, a1 in _slices_below(a0):
-            s = ShortGTPattern(len(a0), a0, b, a1)
-            assert s.in_circle_by_row_parity(ref) == s.in_circle(), (a0, b, a1)
-            if a1 and a1 not in seen and all(v % 2 == ref for v in a1):
-                seen.add(a1)
-                rows.append(a1)
+    for n in range(1, len(top) + 1):
+        for a0 in _rows_of_one_parity(n, top[0]):
+            for b, a1 in _slices_below(a0):
+                s = ShortGTPattern(n, a0, b, a1)
+                assert s.in_circle_by_row_parity() == s.in_circle(), (a0, b, a1)
 
 
 def test_transfer_keeps_odd_max1_guard(monkeypatch):

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -562,3 +564,20 @@ def test_flavor_b_weighting_vector():
     assert in_cq1(t)
     assert resonant_lift((1, 2)) == (1, 2, 1)
     assert resonant_lift((1, 2, 3)) == (1, 2, 3, 2, 1)
+
+
+def test_resonant_closed_G_raises_without_asserts():
+    # a resonant middle the closed form does not cover stops the sum under
+    # python -O too
+    code = (
+        "from spinchar import padic\n"
+        "padic.closed_form_G = lambda t: None\n"
+        "try:\n"
+        "    padic.resonant_closed_G((1, 1), (2, 2))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 3, out.stderr
