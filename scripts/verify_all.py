@@ -52,6 +52,8 @@ JOBS += [
     ("prop3", lambda_args((0, 0, 0, 1))),
     ("prop3", lambda_args((1, 1, 1, 1))),  # the rank-4 frontier bridge
     ("prop3", lambda_args((0, 0, 0, 0, 0))),  # the rank-5 bridge
+    ("gh", ["--lambda", "0,0,0,0,0"]),
+    ("corollary2", lambda_args((0, 0, 0, 0, 0))),  # the rank-5 frontier
     ("prop4", ["--rank", "2", "--mu", "2,2", "--p", "3", "--dmax", "3"]),
     *(("prop4", ["--rank", "3", "--mu", "2,1,2", "--p", p, "--dmax", "2",
                  "--budget", "300000"]) for p in ("2", "3", "5")),

@@ -28,9 +28,11 @@ by slice.  Circle membership is decided per slice by one guard, _in_circle:
 a slice is kept when its c-statistics are even, and below an a-row of one
 parity its row-parity test must agree.  in_gt_circle conjoins the guard
 over a pattern's slices; circle_sum scores slices with it in slice_walk, a
-transfer over a-rows that adds per-slice keys (w, a, b, c) along each
-pattern.  The tableau-side sum runs the same walk with its own per-slice
-scorer.  enumerate_strict with in_gt_circle is the independent oracle.
+transfer over a-rows that adds per-slice keys (w, a, b) along each pattern
+and multiplies their signs.  The tableau-side sum runs the same walk with
+its own per-slice scorer, and both sides come out as the same signed tally
+{(wt, 2t, n): count}, which expand_tally expands.  enumerate_strict with
+in_gt_circle is the independent oracle.
 """
 
 from __future__ import annotations
@@ -393,37 +395,39 @@ def enumerate_circle(mu):
 
 
 def slice_walk(top, score) -> dict:
-    """{key: number of patterns} over the strict patterns with top row ``top``.
+    """{(wt, a, b): signed count} over the strict patterns with top row ``top``.
 
     A transfer over a-rows: a pattern is a chain of slices (a_{i-1}, b_i,
     a_i), so the rows below an a-row are summed once (memoized on the a-row)
     and joined to each slice above it.  ``score(a0, b1, a1)`` gives one
-    slice's key (w, a, b, c), or None to drop the slice.  A pattern's key is
-    the tuple of its slices' w, top slice first, followed by the sums of
-    their a, b and c.  There are no patterns (and the result is empty) when
-    the top row is not strictly decreasing.
+    slice's ((w, a, b), +-1), or None to drop the slice.  A pattern's key is
+    the tuple of its slices' w, top slice first, then the sums of their a
+    and b; it counts the product of their signs.  Keys whose counts cancel
+    stay, with count 0.  There are no patterns (and the result is empty)
+    when the top row is not strictly decreasing.
     """
     top = tuple(top)
     if not _strictly_decreasing(top):
         return {}
-    memo = {(): {((), 0, 0, 0): 1}}
+    memo = {(): {((), 0, 0): 1}}
 
     def below(arow):
         if arow in memo:
             return memo[arow]
         by_a1 = {}  # slice tallies grouped by the next a-row
         for b1, a1 in _slices_below(arow):
-            key = score(arow, b1, a1)
-            if key is None:
+            scored = score(arow, b1, a1)
+            if scored is None:
                 continue
+            key, sign = scored
             tally = by_a1.setdefault(a1, {})
-            tally[key] = tally.get(key, 0) + 1
+            tally[key] = tally.get(key, 0) + sign
         out = {}
         for a1, tally in by_a1.items():
             rest = below(a1)
-            for (w, a, b, c), count in tally.items():
-                for (tw, ta, tb, tc), tcount in rest.items():
-                    joined = ((w,) + tw, a + ta, b + tb, c + tc)
+            for (w, a, b), count in tally.items():
+                for (tw, ta, tb), tcount in rest.items():
+                    joined = ((w,) + tw, a + ta, b + tb)
                     out[joined] = out.get(joined, 0) + count * tcount
         memo[arow] = out
         return out
@@ -434,12 +438,13 @@ def slice_walk(top, score) -> dict:
 def circle_sum(mu) -> dict:
     """Statistics of the circle subset for top row from mu, without enumerating.
 
-    Returns {(wt, max, max1, gen): number of circle patterns}, the same
-    tally as over enumerate_circle(mu), by slice_walk: every input to a
-    pattern's weight lives in one slice, and a slice is kept by the same
-    guard, _in_circle, that in_gt_circle reads.  The walk scores each slice
-    below the top row or below a kept slice, which are the slices
-    in_gt_circle reaches.  And max1 must be even on every circle pattern.
+    Returns {(wt, 2 max - max1, gen): sum of (-1)^max}, the same tally as
+    over enumerate_circle(mu), by slice_walk: every input to a pattern's
+    weight lives in one slice, and a slice is kept by the same guard,
+    _in_circle, that in_gt_circle reads, on the slices in_gt_circle reaches.
+    Expanded (expand_tally), it is the sum of G(P) z^(-wt/2), as
+    (-1)^(max1/2) = (-1)^max (-1)^(max - max1/2).  And max1, so 2 max -
+    max1, must be even on every circle pattern.
     """
     top = top_row(mu)
 
@@ -448,11 +453,11 @@ def circle_sum(mu) -> dict:
         if not _in_circle(s):
             return None
         st = s.stats()
-        return (s.wt1(), st.max, st.max1, st.gen)
+        return (s.wt1(), 2 * st.max - st.max1, st.gen), -1 if st.max % 2 else 1
 
     total = slice_walk(top, score)
-    for _, _, max1, _ in total:
-        if max1 % 2:  # raised, not asserted, so that python -O keeps it
+    for _, twice_t, _ in total:
+        if twice_t % 2:  # raised, not asserted, so that python -O keeps it
             raise AssertionError(f"odd max1 in circle subset under top row {top}")
     return total
 
@@ -460,51 +465,48 @@ def circle_sum(mu) -> dict:
 # -- weights ----------------------------------------------------------------
 
 
-def add_weight_terms(terms: dict, zexp: tuple, coef: int, base_t: int, n: int) -> None:
-    """terms += coef * t^base_t (1+t)^n z^zexp (doubled z-exponents), in place.
+def expand_tally(tally: dict, rank: int) -> LaurentPoly:
+    """The sum of c (-1)^t t^t (1+t)^n z^(-wt/2) over a tally {(wt, 2t, n): c}.
 
-    Keeps ``terms`` canonical for LaurentPoly._make: zero sums are removed.
+    Both sides of the identity are such tallies: circle_sum on patterns and
+    the strip walk of tableaux.corollary_rhs on tableaux.  Every key is
+    checked for a negative t, keys whose count cancelled to 0 included.
     """
-    for jj in range(n + 1):
-        key = Monomial(zexp, base_t + jj, 0)
-        val = terms.get(key, 0) + coef * comb(n, jj)
-        if val:
-            terms[key] = val
-        else:
-            del terms[key]
-
-
-def add_g_terms(terms: dict, zexp: tuple, count: int, nmax: int, max1: int, gen: int) -> None:
-    """terms += count * G z^zexp, G = (-1)^(max1/2) t^(max - max1/2) (1+t)^gen."""
-    if max1 % 2:
-        raise ValueError(f"odd max1 statistic ({max1}); restrict to the circle subset")
-    sign = -1 if (max1 // 2) % 2 else 1
-    add_weight_terms(terms, zexp, sign * count, nmax - max1 // 2, gen)
+    terms = {}
+    for (wt, twice_t, n), count in tally.items():
+        if twice_t < 0:
+            raise ValueError("negative t exponent; a term outside the circle subset?")
+        if not count:
+            continue
+        t = twice_t // 2
+        coef = -count if t % 2 else count
+        zexp = tuple(-w for w in wt)  # doubled exponent of -wt/2
+        for jj in range(n + 1):
+            key = Monomial(zexp, t + jj, 0)
+            terms[key] = terms.get(key, 0) + coef * comb(n, jj)
+    return LaurentPoly._make({m: c for m, c in terms.items() if c}, rank)
 
 
 def g_weight(p) -> LaurentPoly:
     """(-1)^(max1/2) t^(max - max1/2) (1+t)^gen, as a rank-r polynomial in t,
     of a GTPattern or of a three-row ShortGTPattern."""
     st = p.stats()
-    terms = {}
-    add_g_terms(terms, (0,) * p.rank, 1, st.max, st.max1, st.gen)
-    return LaurentPoly._make(terms, p.rank)
+    if st.max1 % 2:
+        raise ValueError(f"odd max1 statistic ({st.max1}); restrict to the circle subset")
+    key = ((0,) * p.rank, 2 * st.max - st.max1, st.gen)
+    return expand_tally({key: -1 if st.max % 2 else 1}, p.rank)
 
 
 def tokuyama_rhs(lam, r: int = None) -> LaurentPoly:
     """Sum of G(P) z^(-wt(P)/2) over the circle subset for top row v(lam+rho).
 
-    Summed from circle_sum, so the evenness of max1 is checked on every
+    Expanded from circle_sum, so the evenness of max1 is checked on every
     contributing pattern and the two circle characterizations are
     cross-checked on every slice the walk scores.  lam must be dominant of
     rank r.
     """
     lam = dominant(lam, r)
-    terms = {}
-    for (wt, nmax, max1, gen), count in circle_sum(shifted_weight(lam)).items():
-        zexp = tuple(-w for w in wt)  # doubled exponent of -wt/2
-        add_g_terms(terms, zexp, count, nmax, max1, gen)
-    return LaurentPoly._make(terms, len(lam))
+    return expand_tally(circle_sum(shifted_weight(lam)), len(lam))
 
 
 # -- splitting ---------------------------------------------------------------

@@ -669,12 +669,16 @@ class LaurentPoly:
             pieces = chunk.split(" * ")
             coef = int(pieces[0])
             e = [0] * (rank + 2)
+            named = set()  # a term names each variable once, as str() writes it
             if len(pieces) == 2:
                 for factor in pieces[1].split():
                     m = _FACTOR_RE.match(factor)
                     if not m:
                         raise ValueError(f"bad factor {factor!r}")
                     name, exp = m.groups()
+                    if name in named:
+                        raise ValueError(f"variable {name} named twice in term {chunk!r}")
+                    named.add(name)
                     e[shell._slot(name)] = 2 if exp is None else _twice(exp)
             elif len(pieces) > 2:
                 raise ValueError(f"bad term {chunk!r}")

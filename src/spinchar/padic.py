@@ -28,7 +28,7 @@ Conventions pinned here (each validated against the oracle, see tests):
   admit d_r, and reports None (oracle-only) in the remaining middle cells.
 * gamma-tilde vanishes on odd entries that are neither boxed nor circled.
 * Every gamma / gamma-tilde weight is 0, 1, -q^-1, 1 - q^-1 or q^(-1/2),
-  so a decorated array's weight is 0 or sign q^(-e/2) (1 - q^-1)^gen.
+  so a decorated array's weight is sign q^(-e/2) (1 - q^-1)^gen (sign 0: 0).
   _gamma_product counts the triple (sign, e, gen) off the weight tables
   (a flag pair weighs by gamma, a flag triple with its entry by
   gamma-tilde) and expands it once.
@@ -59,7 +59,6 @@ from .rootdata import upsilon
 DEFAULT_BUDGET = 10_000_000
 
 _Q0 = LaurentPoly.zero(0)
-_ONE_MINUS_QINV = LaurentPoly.one(0) - LaurentPoly.monomial(0, qexp=-1)
 
 # The weight table.  Every gamma / gamma-tilde value is 0 (None) or
 # sign * q^(-e/2) * (1 - q^-1)^gen, kept as the triple (sign, e, gen):
@@ -111,13 +110,13 @@ class DecoratedArray:
 
 def _count_weights(flags):
     """The triple (sign, e, gen) of the product of the weights of the flag
-    tuples f, or None at the first zero factor: gamma of a (boxed, circled)
-    pair, gamma-tilde of a (boxed, circled, entry) triple."""
+    tuples f, (0, 0, 0) at the first zero factor: gamma of a (boxed,
+    circled) pair, gamma-tilde of a (boxed, circled, entry) triple."""
     sign, e, gen = 1, 0, 0
     for f in flags:
         w = (_GAMMA_ODD if len(f) > 2 and f[2] % 2 else _GAMMA)[f[0], f[1]]
         if w is None:
-            return None
+            return 0, 0, 0
         sign *= w[0]
         e += w[1]
         gen += w[2]
@@ -210,7 +209,7 @@ def _gamma_product(flags) -> LaurentPoly:
     The factors are counted, not multiplied, and the product is expanded
     once."""
     w = _count_weights(flags)
-    return _Q0 if w is None else _expand([(w, 1)])
+    return _expand([(w, 1)]) if w[0] else _Q0
 
 
 def g_delta(arr: DecoratedArray) -> LaurentPoly:
@@ -243,9 +242,9 @@ def closed_form_G(t: ShortPatternB) -> LaurentPoly | None:
         if diff <= 0:
             return _gamma_product(flags)
         if diff % 2:
-            del flags[r - 1 : r + 1]  # the middle pair enters the square sum
-            out = _ONE_MINUS_QINV.shift(Monomial((), 0, -2 * ((diff + 1) // 2)))
-            return out * _gamma_product(flags)
+            del flags[r - 1 : r + 1]  # the middle pair enters the square sum,
+            sign, e, gen = _count_weights(flags)  # weighing (1 - q^-1) q^(-(diff+1)/2)
+            return _expand([((sign, e + diff + 1, gen + 1), 1)])
         return _Q0
     if dr <= middle and dr <= cap:
         return _gamma_product(flags)
@@ -529,7 +528,7 @@ def cqc_layer_sums(muprime: tuple):
     buckets = {}
     for d in iter_cqc(muprime):
         w = _count_weights(_pullback_flags_C(d, a0))
-        if w is not None:
+        if w[0]:
             buckets.setdefault(k_vector_C(d, r), Counter())[w] += 1
     sums = {k: _expand(counts.items()) for k, counts in buckets.items()}
     return {k: v for k, v in sums.items() if v}
@@ -620,7 +619,8 @@ def lemma3_closed(s, mu) -> LaurentPoly:
     flags = list(zip(arr.boxed, arr.circled))
     if s[ib - 1] > 0:
         del flags[ib - 1]  # the unboxed uncircled factor 1 - q^{-1} is divided out
-    return _gamma_product(flags).shift(Monomial((), 0, 2 * (sum(s) - (r - ib))))
+    sign, e, gen = _count_weights(flags)  # times q^(sum(s) - (r - i_box))
+    return _expand([((sign, e - 2 * (sum(s) - (r - ib)), gen), 1)])
 
 
 def resonant_closed_G(dtuple, mu) -> LaurentPoly:

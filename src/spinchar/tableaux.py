@@ -28,9 +28,10 @@ counted from runs.  score_strip (cached) gives a symbol's share, both
 circle conditions for it included; symbol_strips scores the slices of a
 tableau's count rows, and corollary_rhs sums over chains of shapes with
 gtpatterns.slice_walk, scoring the same slices once each (_strip_key) and
-never touching the pattern statistics.  The walk adds the strip keys along
-a chain, so it counts the strips with odd l, whose parity gives the sign.
-The enumeration sum stays as the oracle _corollary_rhs_by_enumeration.
+never touching the pattern statistics.  Each strip's key and sign are its
+shares of tableau_term's, so the walk returns gtpatterns.circle_sum's
+signed tally and gtpatterns.expand_tally expands both.  The enumeration
+sum stays as the oracle _corollary_rhs_by_enumeration.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .gtpatterns import (
-    GTPattern, add_weight_terms, enumerate_strict, slice_rows, slice_walk, top_row,
+    GTPattern, enumerate_strict, expand_tally, slice_rows, slice_walk, top_row,
 )
 from .laurent import LaurentPoly
 from .rootdata import dominant, shifted_weight
@@ -282,38 +283,28 @@ def _statistics(strips: tuple) -> TableauStats:
     )
 
 
-def _add_term(terms: dict, r: int, wt: tuple, l_total: int, base_t: int,
-              str_total: int, count: int = 1) -> None:
-    """terms += count (-1)^(r(r+1)/2 - l) t^base_t (1+t)^(str - r) z^(-wt/2).
-
-    Only the parity of ``l_total`` is read.
-    """
-    if base_t < 0:
-        raise ValueError("negative t exponent; tableau outside the circle subset?")
-    sign = -1 if (r * (r + 1) // 2 - l_total) % 2 else 1
-    zexp = tuple(-w for w in wt)  # doubled exponents of z^(-wt/2)
-    add_weight_terms(terms, zexp, sign * count, base_t, str_total - r)
-
-
 def tableau_term(s: Tableau) -> LaurentPoly:
-    """(-1)^(r(r+1)/2 - l) t^(hgtbar + l) (1+t)^(str - r) z^(-wt/2)."""
+    """(-1)^(r(r+1)/2 - l) t^(hgtbar + l) (1+t)^(str - r) z^(-wt/2): the tally
+    key (wt, 2t, str - r), t = hgtbar + l, counts (-1)^(r(r+1)/2 - l + t)."""
     st = statistics(s)
-    terms = {}
-    _add_term(terms, s.rank, st.wt, st.l_total, st.hgtbar + st.l_total, st.str_total)
-    return LaurentPoly._make(terms, s.rank)
+    r, t = s.rank, st.hgtbar + st.l_total
+    sign = -1 if (r * (r + 1) // 2 - st.l_total + t) % 2 else 1
+    return expand_tally({(st.wt, 2 * t, st.str_total - r): sign}, r)
 
 
 def _strip_key(hi: tuple, mid: tuple, lo: tuple):
-    """(wt share, t share, l mod 2, str share) of a circle strip, else None.
+    """((wt share, 2 t_m, str share - 1), (-1)^(m - l + t_m)) of a circle
+    strip of symbol m, t_m = row_b - con_b - row_u + l, else None.
 
-    slice_walk sums the third slot along a chain, so there it counts the
-    strips with odd l; only its parity is read.
+    Along a chain they sum (and multiply) to tableau_term's key and sign:
+    r(r+1)/2 is the sum of the m, and str - r of the (con_u + con_b - 1).
     """
     st = score_strip(hi, mid, lo)
     if not st.in_circle:
         return None
     t = st.row_b - st.con_b - st.row_u + st.l
-    return (st.x - st.xbar, t, st.l % 2, st.con_u + st.con_b)
+    sign = -1 if (len(hi) - st.l + t) % 2 else 1
+    return (st.x - st.xbar, 2 * t, st.con_u + st.con_b - 1), sign
 
 
 def corollary_rhs(lam, r: int = None) -> LaurentPoly:
@@ -321,15 +312,14 @@ def corollary_rhs(lam, r: int = None) -> LaurentPoly:
 
     A transfer over chains of shifted shapes (the a-rows of the pattern
     bijection): each strip between consecutive shapes is scored once by
-    score_strip, and its shares of wt, t, the sign and str are summed along
-    the chain by gtpatterns.slice_walk.  lam must be dominant of rank r.
+    score_strip, and its shares of wt, t, str and the sign are summed along
+    the chain by gtpatterns.slice_walk into the same tally as
+    gtpatterns.circle_sum, then expanded by gtpatterns.expand_tally.  lam
+    must be dominant of rank r.
     """
     lam = dominant(lam, r)
     top = top_row(shifted_weight(lam))
-    terms = {}
-    for (wt, t, odd_l, str_total), count in slice_walk(top, _strip_key).items():
-        _add_term(terms, len(top), wt, odd_l, t, str_total, count)
-    return LaurentPoly._make(terms, len(lam))
+    return expand_tally(slice_walk(top, _strip_key), len(lam))
 
 
 def _corollary_rhs_by_enumeration(lam, r: int = None) -> LaurentPoly:

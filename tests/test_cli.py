@@ -327,6 +327,25 @@ def test_verify_all_jobs_parse_and_cover_the_acceptance_grid():
         assert {(tuple(lam), r) for lam, r in THEOREM1_CASES} <= cases, claim
 
 
+def test_benchmark_tracer_finds_every_traced_function():
+    # perfbench/tracing.py wraps each (module, attribute path) of LAYERS; a
+    # renamed or deleted function would otherwise break only a traced
+    # benchmark run.  The tracer is loaded by path and only read.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    for name, (module, attrs, *_) in tracing.LAYERS.items():
+        owner = importlib.import_module(f"spinchar.{module}")
+        for attr in attrs.split("."):
+            assert hasattr(owner, attr), name
+            owner = getattr(owner, attr)
+        assert callable(owner), name
+    for module in tracing.MODULES:
+        importlib.import_module(f"spinchar.{module}")
+
+
 def test_readme_cli_examples_parse():
     # every command line of the README's CLI block parses against the flag
     # table, so the docs cannot name a flag a command does not read

@@ -129,14 +129,14 @@ def test_max1_even_on_circle():
 
 @pytest.mark.parametrize("lam", [lam for lam, _ in THEOREM1_CASES], ids=str)
 def test_circle_sum_matches_enumeration(lam):
-    # the slice transfer against the enumeration oracle: the statistics
-    # tally and the pattern side built from it
+    # the slice transfer against the enumeration oracle: the signed
+    # statistics tally and the pattern side built from it
     top = upsilon(tuple(l + 1 for l in lam))
     tally = Counter()
     terms = {}
     for p in enumerate_circle(top):
         st, wt = p.stats(), p.wt()
-        tally[(wt, st.max, st.max1, st.gen)] += 1
+        tally[(wt, 2 * st.max - st.max1, st.gen)] += (-1) ** st.max
         for mono, c in g_weight(p).terms.items():
             key = Monomial(tuple(-w for w in wt), mono[-2] // 2, 0)
             terms[key] = terms.get(key, 0) + c

@@ -176,6 +176,16 @@ def test_serialize_deterministic():
     assert LaurentPoly.parse("0", 2) == LaurentPoly.zero(2)
 
 
+@pytest.mark.parametrize(
+    "text, name", [("1 * z1 z1", "z1"), ("1 * t q t^{2}", "t")], ids=str
+)
+def test_parse_refuses_a_variable_named_twice_in_a_term(text, name):
+    # str() writes each variable once per term; a repeat was silently
+    # overwritten by its last factor
+    with pytest.raises(ValueError, match=f"variable {name} named twice"):
+        LaurentPoly.parse(text, 1)
+
+
 # -- property tests ------------------------------------------------------
 
 

@@ -8,14 +8,17 @@ import pytest
 from spinchar import gtpatterns, tableaux
 from spinchar.gtpatterns import (
     GTPattern,
+    circle_sum,
     enumerate_strict,
     g_weight,
     in_gt_circle,
     slice_rows,
+    slice_walk,
     tokuyama_rhs,
+    top_row,
 )
 from spinchar.laurent import Monomial
-from spinchar.rootdata import upsilon
+from spinchar.rootdata import shifted_weight, upsilon
 from spinchar.tableaux import (
     Tableau,
     _corollary_rhs_by_enumeration,
@@ -258,6 +261,17 @@ def test_both_sides_reject_a_weight_off_the_cone_or_rank(side, lam, r):
     # either sum is defined on: both raise instead of returning a polynomial
     with pytest.raises(ValueError):
         side(lam, r)
+
+
+@pytest.mark.parametrize(
+    "lam", [lam for lam, _ in THEOREM1_CASES] + [(2, 1, 1), (1, 0, 0, 0)], ids=str
+)
+def test_strip_walk_is_the_circle_tally(lam):
+    # Corollary 2 before expansion: the strip walk sums each symbol's share
+    # to the same signed (wt, 2t, n) tally as the pattern walk, key by key,
+    # keys whose counts cancel included
+    v = shifted_weight(lam)
+    assert slice_walk(top_row(v), tableaux._strip_key) == circle_sum(v)
 
 
 def test_strip_transfer_uses_no_pattern_statistics(monkeypatch):
