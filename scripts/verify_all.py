@@ -19,6 +19,10 @@ IDENTITY_GRID = (
     + list(itertools.product(range(3), repeat=2))
     + list(itertools.product(range(2), repeat=3))
 )
+# The {0,1}^4 weights that the rank-4 frontier jobs below leave out, less
+# (1,1,1,1), where corollary2 and gh each take over 20 s.
+RANK4_GRID = [lam for lam in itertools.product(range(2), repeat=4)
+              if lam not in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1))]
 
 
 def lambda_args(lam) -> list:
@@ -54,6 +58,7 @@ JOBS += [
     ("prop3", lambda_args((0, 0, 0, 0, 0))),  # the rank-5 bridge
     ("gh", ["--lambda", "0,0,0,0,0"]),
     ("corollary2", lambda_args((0, 0, 0, 0, 0))),  # the rank-5 frontier
+    *((claim, lambda_args(lam)) for lam in RANK4_GRID for claim in ("corollary2", "gh")),
     ("prop4", ["--rank", "2", "--mu", "2,2", "--p", "3", "--dmax", "3"]),
     *(("prop4", ["--rank", "3", "--mu", "2,1,2", "--p", p, "--dmax", "2",
                  "--budget", "300000"]) for p in ("2", "3", "5")),

@@ -467,8 +467,9 @@ def main(argv=None) -> int:
         return code
     except padic.BudgetExceededError as exc:
         return _usage_exit("budget error", exc)
-    except (UsageError, ValueError) as exc:
-        # A library ValueError means the input is outside what it accepts.
+    except (UsageError, ValueError, OverflowError) as exc:
+        # A library ValueError means the input is outside what it accepts;
+        # an OverflowError, that a number given is too large for it.
         return _usage_exit("error", exc)
     return code
 

@@ -22,17 +22,18 @@ Classes, statistics, wt_i and both circle tests of an entry in row b_i or
 a_i depend only on the slice (a_{i-1}, b_i, a_i), a ShortGTPattern, where
 they are defined once per distinct slice; a GTPattern sums or conjoins them
 over its slices.  The slice is also the unit of generation and validation:
-_slices_below yields every slice below an a-row, for enumerate_strict,
-enumerate_short and slice_walk alike, and GTPattern.validate checks slice
-by slice.  Circle membership is decided per slice by one guard, _in_circle:
-a slice is kept when its c-statistics are even, and below an a-row of one
-parity its row-parity test must agree.  in_gt_circle conjoins the guard
-over a pattern's slices; circle_sum scores slices with it in slice_walk, a
+_slices_below yields every slice below an a-row, for enumerate_strict and
+slice_walk alike, and GTPattern.validate checks slice by slice.  Circle
+membership is decided per slice by one guard, _in_circle: a slice is kept
+when its c-statistics are even, and below an a-row of one parity its
+row-parity test must agree.  in_gt_circle conjoins the guard over a
+pattern's slices; circle_sum scores slices with it in slice_walk, a
 transfer over a-rows that adds per-slice keys (w, a, b) along each pattern
-and multiplies their signs.  The tableau-side sum runs the same walk with
-its own per-slice scorer, and both sides come out as the same signed tally
-{(wt, 2t, n): count}, which expand_tally expands.  enumerate_strict with
-in_gt_circle is the independent oracle.
+and multiplies their signs, and refuses a kept slice with odd max1.  The
+tableau-side sum runs the same walk with its own per-slice scorer, which
+refuses a negative share of t, and both sides come out as the same signed
+tally {(wt, 2t, n): count}, nonzero counts only, which expand_tally
+expands.  enumerate_strict with in_gt_circle is the independent oracle.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class GTPattern:
     def slices(self) -> tuple:
         """slices[i-1] = rows a_{i-1}, b_i, a_i as a ShortGTPattern of rank r-i+1."""
         return tuple([
-            _slice(len(a0), a0, b, a1)
+            _slice(a0, b, a1)
             for a0, b, a1 in slice_rows(self.arows, self.brows)
         ])
 
@@ -110,10 +111,6 @@ class GTPattern:
             for i, s in enumerate(self.slices, 1)
             for (kind, j), (cls, _) in s.entries.items()
         }
-
-    def c_stat(self, kind: str, i: int, j: int) -> int:
-        """The accumulation statistic attached to an entry; empty sums are 0."""
-        return self.slices[i - 1].c_stat(kind, j - i + 1)
 
     def stats(self) -> "PatternStats":
         return PatternStats(*map(sum, zip(*(s.stats() for s in self.slices))))
@@ -157,7 +154,6 @@ class ShortGTPattern:
     Entry classes, statistics and both circle tests are local to a slice.
     """
 
-    rank: int
     a0: tuple
     b1: tuple
     a1: tuple
@@ -171,7 +167,8 @@ class ShortGTPattern:
     _one_parity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r, a0, b1, a1 = self.rank, self.a0, self.b1, self.a1
+        a0, b1, a1 = self.a0, self.b1, self.a1
+        r = len(a0)
         cb, ca = c_stats(a0, b1, a1)
         entries = {}
         for j in range(1, r + 1):
@@ -215,10 +212,10 @@ class ShortGTPattern:
             _one_parity=all(v % 2 == ref for v in a0),
         )
 
-    def c_stat(self, kind: str, j: int) -> int:
-        if kind not in ("a", "b"):
-            raise ValueError(kind)
-        return self.entries[(kind, j)][1]
+    @property
+    def rank(self) -> int:
+        """r = len(a_0): the rank is read off the top row, not stored."""
+        return len(self.a0)
 
     def stats(self) -> PatternStats:
         return self._stats
@@ -259,10 +256,10 @@ def c_stats(a0, b1, a1) -> tuple:
 
 
 @lru_cache(maxsize=1 << 16)
-def _slice(rank: int, a0: tuple, b1: tuple, a1: tuple) -> ShortGTPattern:
+def _slice(a0: tuple, b1: tuple, a1: tuple) -> ShortGTPattern:
     """A shared slice: the patterns of one top have few distinct slices
     (618 among the 15,288 patterns of top (2,2,2)), so each is built once."""
-    return ShortGTPattern(rank, a0, b1, a1)
+    return ShortGTPattern(a0, b1, a1)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -341,14 +338,6 @@ def enumerate_strict(mu):
     yield from rec((top,), ())
 
 
-def enumerate_short(muprime):
-    """All strict three-row interleaving arrays with top row from muprime."""
-    top = top_row(muprime)
-    if _strictly_decreasing(top):
-        for b1, a1 in _slices_below(top):
-            yield ShortGTPattern(len(top), top, b1, a1)
-
-
 # -- the circle subset ------------------------------------------------------
 
 
@@ -403,8 +392,10 @@ def slice_walk(top, score) -> dict:
     slice's ((w, a, b), +-1), or None to drop the slice.  A pattern's key is
     the tuple of its slices' w, top slice first, then the sums of their a
     and b; it counts the product of their signs.  Keys whose counts cancel
-    stay, with count 0.  There are no patterns (and the result is empty)
-    when the top row is not strictly decreasing.
+    are dropped, once per a-row, so every count is nonzero; a guard on the
+    statistics belongs in ``score``, which sees every slice.  There are no
+    patterns (and the result is empty) when the top row is not strictly
+    decreasing.
     """
     top = tuple(top)
     if not _strictly_decreasing(top):
@@ -429,7 +420,7 @@ def slice_walk(top, score) -> dict:
                 for (tw, ta, tb), tcount in rest.items():
                     joined = ((w,) + tw, a + ta, b + tb)
                     out[joined] = out.get(joined, 0) + count * tcount
-        memo[arow] = out
+        out = memo[arow] = {key: count for key, count in out.items() if count}
         return out
 
     return below(top)
@@ -443,23 +434,21 @@ def circle_sum(mu) -> dict:
     weight lives in one slice, and a slice is kept by the same guard,
     _in_circle, that in_gt_circle reads, on the slices in_gt_circle reaches.
     Expanded (expand_tally), it is the sum of G(P) z^(-wt/2), as
-    (-1)^(max1/2) = (-1)^max (-1)^(max - max1/2).  And max1, so 2 max -
-    max1, must be even on every circle pattern.
+    (-1)^(max1/2) = (-1)^max (-1)^(max - max1/2).  That needs max1 even,
+    which is checked on every kept slice, so on every circle pattern.
     """
     top = top_row(mu)
 
     def score(a0, b1, a1):
-        s = ShortGTPattern(len(a0), a0, b1, a1)
+        s = ShortGTPattern(a0, b1, a1)
         if not _in_circle(s):
             return None
         st = s.stats()
+        if st.max1 % 2:  # raised, not asserted, so that python -O keeps it
+            raise AssertionError(f"odd max1 in circle subset under top row {top}")
         return (s.wt1(), 2 * st.max - st.max1, st.gen), -1 if st.max % 2 else 1
 
-    total = slice_walk(top, score)
-    for _, twice_t, _ in total:
-        if twice_t % 2:  # raised, not asserted, so that python -O keeps it
-            raise AssertionError(f"odd max1 in circle subset under top row {top}")
-    return total
+    return slice_walk(top, score)
 
 
 # -- weights ----------------------------------------------------------------
@@ -469,15 +458,14 @@ def expand_tally(tally: dict, rank: int) -> LaurentPoly:
     """The sum of c (-1)^t t^t (1+t)^n z^(-wt/2) over a tally {(wt, 2t, n): c}.
 
     Both sides of the identity are such tallies: circle_sum on patterns and
-    the strip walk of tableaux.corollary_rhs on tableaux.  Every key is
-    checked for a negative t, keys whose count cancelled to 0 included.
+    the strip walk of tableaux.corollary_rhs on tableaux.  Their walks check
+    each slice's share of t; every key here is checked again, for the
+    one-key tallies of g_weight and tableau_term.
     """
     terms = {}
     for (wt, twice_t, n), count in tally.items():
         if twice_t < 0:
             raise ValueError("negative t exponent; a term outside the circle subset?")
-        if not count:
-            continue
         t = twice_t // 2
         coef = -count if t % 2 else count
         zexp = tuple(-w for w in wt)  # doubled exponent of -wt/2
@@ -500,29 +488,10 @@ def g_weight(p) -> LaurentPoly:
 def tokuyama_rhs(lam, r: int = None) -> LaurentPoly:
     """Sum of G(P) z^(-wt(P)/2) over the circle subset for top row v(lam+rho).
 
-    Expanded from circle_sum, so the evenness of max1 is checked on every
-    contributing pattern and the two circle characterizations are
-    cross-checked on every slice the walk scores.  lam must be dominant of
-    rank r.
+    Expanded from circle_sum, so the two circle characterizations are
+    cross-checked on every slice the walk scores, and the evenness of max1
+    on every slice it keeps.  lam must be dominant of rank r.
     """
     lam = dominant(lam, r)
     return expand_tally(circle_sum(shifted_weight(lam)), len(lam))
 
-
-# -- splitting ---------------------------------------------------------------
-
-
-def split(p: GTPattern):
-    """Top three rows plus the rank r-1 tail below them."""
-    r = p.rank
-    if r < 2:
-        raise ValueError("split needs rank >= 2")
-    p1 = ShortGTPattern(r, p.arows[0], p.brows[0], p.arows[1])
-    tail = GTPattern(r - 1, tuple(p.arows[1:]), tuple(p.brows[1:]))
-    return p1, tail
-
-
-def join(p1: ShortGTPattern, tail: GTPattern) -> GTPattern:
-    if tail.rank != p1.rank - 1 or p1.a1 != tail.arows[0]:
-        raise ValueError("short pattern and tail do not match")
-    return GTPattern(p1.rank, (p1.a0,) + tail.arows, (p1.b1,) + tail.brows)

@@ -659,7 +659,8 @@ class LaurentPoly:
 
     @staticmethod
     def parse(text: str, rank: int) -> "LaurentPoly":
-        """Inverse of str(); accepts the grammar documented in the module."""
+        """Inverse of str(): accepts exactly the text str() writes, up to
+        surrounding whitespace, and raises ValueError on anything else."""
         text = text.strip()
         if text == "0":
             return LaurentPoly.zero(rank)
@@ -684,7 +685,10 @@ class LaurentPoly:
                 raise ValueError(f"bad term {chunk!r}")
             mono = tuple(e)
             terms[mono] = terms.get(mono, 0) + coef
-        return LaurentPoly(terms, rank)
+        poly = LaurentPoly(terms, rank)
+        if str(poly) != text:
+            raise ValueError(f"{text!r} is not written as str() writes it")
+        return poly
 
 
 def prod(polys: Iterable[LaurentPoly], rank: int) -> LaurentPoly:

@@ -52,7 +52,7 @@ from operator import add, eq, ge, gt, le, lt
 
 import numpy as np
 
-from .gtpatterns import ShortGTPattern, c_stats, top_row
+from .gtpatterns import c_stats, top_row
 from .laurent import LaurentPoly, Monomial
 from .rootdata import upsilon
 
@@ -132,14 +132,6 @@ def _expand(counts) -> LaurentPoly:
             key = (0, -e - 2 * i)
             terms[key] = terms.get(key, 0) + (-1) ** i * comb(gen, i) * sign * n
     return LaurentPoly._make({m: c for m, c in terms.items() if c}, 0)
-
-
-def gamma(boxed: bool, circled: bool) -> LaurentPoly:
-    return _gamma_product([(boxed, circled)])
-
-
-def gamma_tilde(boxed: bool, circled: bool, entry: int) -> LaurentPoly:
-    return _gamma_product([(boxed, circled, entry)])
 
 
 # -- flavor B ----------------------------------------------------------------
@@ -441,14 +433,6 @@ def _rows_C(d: tuple, a0: tuple) -> tuple:
     r = len(a0)
     b1 = tuple(map(add, d, a0[1:])) + (d[r - 1],)
     return b1, tuple([b1[j] - d[2 * r - 2 - j] for j in range(r - 1)])
-
-
-def short_pattern_of(d, muprime) -> ShortGTPattern:
-    """Inverse of the three-row bijection: rebuild (a_0, b_1, a_1) from d."""
-    if not in_cqc(d, muprime):
-        raise ValueError(f"{d} is not in the admissible set for {muprime}")
-    a0 = top_row(muprime)
-    return ShortGTPattern(len(a0), a0, *_rows_C(tuple(d), a0))
 
 
 def _pullback_flags_C(d: tuple, a0: tuple) -> list:

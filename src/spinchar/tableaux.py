@@ -29,8 +29,9 @@ circle conditions for it included; symbol_strips scores the slices of a
 tableau's count rows, and corollary_rhs sums over chains of shapes with
 gtpatterns.slice_walk, scoring the same slices once each (_strip_key) and
 never touching the pattern statistics.  Each strip's key and sign are its
-shares of tableau_term's, so the walk returns gtpatterns.circle_sum's
-signed tally and gtpatterns.expand_tally expands both.  The enumeration
+shares of tableau_term's, and each circle strip's share of t is checked
+to be nonnegative, so the walk returns gtpatterns.circle_sum's signed
+tally and gtpatterns.expand_tally expands both.  The enumeration
 sum stays as the oracle _corollary_rhs_by_enumeration.
 """
 
@@ -298,11 +299,15 @@ def _strip_key(hi: tuple, mid: tuple, lo: tuple):
 
     Along a chain they sum (and multiply) to tableau_term's key and sign:
     r(r+1)/2 is the sum of the m, and str - r of the (con_u + con_b - 1).
+    A circle strip with t_m < 0 raises ValueError, so no chain's t is
+    negative.
     """
     st = score_strip(hi, mid, lo)
     if not st.in_circle:
         return None
     t = st.row_b - st.con_b - st.row_u + st.l
+    if t < 0:
+        raise ValueError(f"negative t exponent on the strip of symbol {len(hi)}")
     sign = -1 if (len(hi) - st.l + t) % 2 else 1
     return (st.x - st.xbar, 2 * t, st.con_u + st.con_b - 1), sign
 

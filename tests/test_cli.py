@@ -241,6 +241,10 @@ def test_enumerate_cq_csv():
         # a flag the others given would leave unread
         ("verify", "prop6", "--mu", "1,1", "--k", "1,1", "--kmax", "0"),
         ("enumerate", "omega", "--mu", "1,1", "--weighting", "A"),
+        # an integer too large for the library
+        ("enumerate", "cq", "--muprime", "99999999999999999999"),
+        ("enumerate", "tableaux", "--mu", "99999999999999999999"),
+        ("verify", "lemma3", "--mu", "99999999999999999999,1"),
     ],
     ids=" ".join,
 )

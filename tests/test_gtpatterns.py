@@ -12,19 +12,17 @@ from spinchar.gtpatterns import (
     _slices_below,
     circle_sum,
     enumerate_circle,
-    enumerate_short,
     enumerate_strict,
     g_weight,
     gt_circle_by_cstat,
     gt_circle_by_row_parity,
     in_gt_circle,
-    join,
     mu_of_top_row,
-    split,
     tokuyama_rhs,
     top_row,
 )
 from spinchar.laurent import LaurentPoly, Monomial
+from spinchar.tableaux import _strip_key
 from spinchar.rootdata import (
     deformed_denominator,
     lambda_to_evee,
@@ -78,10 +76,15 @@ def test_example_statistics():
     EXAMPLE.validate()
     st = EXAMPLE.stats()
     assert (st.gen, st.max, st.max1) == (8, 9, 4)
+    cstat = {
+        (kind, i, j + i - 1): c
+        for i, s in enumerate(EXAMPLE.slices, 1)
+        for (kind, j), (_, c) in s.entries.items()
+    }
     odd_maximal = {
         key
         for key, cls in EXAMPLE.classify().items()
-        if cls == "maximal" and EXAMPLE.c_stat(*key) % 2
+        if cls == "maximal" and cstat[key] % 2
     }
     assert odd_maximal == {("b", 1, 4), ("b", 1, 5), ("a", 1, 4), ("a", 1, 5)}
     assert in_gt_circle(EXAMPLE)
@@ -93,7 +96,7 @@ def test_example_statistics():
 def test_rank1_c_stat_and_weights():
     for mu1, b in [(3, 0), (3, 1), (3, 3)]:
         p = GTPattern(1, ((mu1,),), ((b,),))
-        assert p.c_stat("b", 1, 1) == 0
+        assert p.slices[0].entries[("b", 1)][1] == 0
         g = g_weight(p)
         one, t = LaurentPoly.one(1), LaurentPoly.t_var(1)
         if b == 0:
@@ -140,7 +143,7 @@ def test_circle_sum_matches_enumeration(lam):
         for mono, c in g_weight(p).terms.items():
             key = Monomial(tuple(-w for w in wt), mono[-2] // 2, 0)
             terms[key] = terms.get(key, 0) + c
-    assert circle_sum(top) == dict(tally)
+    assert circle_sum(top) == {key: c for key, c in tally.items() if c}
     assert tokuyama_rhs(lam) == LaurentPoly(terms, len(lam))
 
 
@@ -190,13 +193,18 @@ def test_slice_tests_agree_below_rows_of_the_top_parity(lam):
     # a_0 has one parity.  Every a-row that a doubled top reaches through
     # kept slices is such a row, with at most r entries, none above the top
     # row's first.  The tests agree below every such row, reached or not,
-    # so the guard raises only on a fault
+    # so the guard raises only on a fault.  Below them every kept slice has
+    # an even max1 and every circle strip a nonnegative share of t, so the
+    # walks' per-slice guards raise only on a fault too
     top = top_row(upsilon(tuple(l + 1 for l in lam)))
     for n in range(1, len(top) + 1):
         for a0 in _rows_of_one_parity(n, top[0]):
             for b, a1 in _slices_below(a0):
-                s = ShortGTPattern(n, a0, b, a1)
+                s = ShortGTPattern(a0, b, a1)
                 assert s.in_circle_by_row_parity() == s.in_circle(), (a0, b, a1)
+                assert not s.in_circle() or s.stats().max1 % 2 == 0, (a0, b, a1)
+                scored = _strip_key(a0, b, a1)
+                assert scored is None or scored[0][1] >= 0, (a0, b, a1)
 
 
 def test_transfer_keeps_odd_max1_guard(monkeypatch):
@@ -268,29 +276,27 @@ def test_tokuyama_rank2_spot():
     assert tokuyama_identity_holds((0, 1), 2)
 
 
-def test_split_join_and_multiplicativity():
-    for lam in itertools.product(range(2), repeat=2):
-        mu = tuple(l + 1 for l in lam)
+def test_g_weight_is_multiplicative_over_slices():
+    # a pattern weighs the product of its slices' weights, and the slices
+    # below the top one are the slices of the pattern below it
+    for mu in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 2)]:
         for p in enumerate_circle(upsilon(mu)):
-            p1, tail = split(p)
-            assert join(p1, tail) == p
-            assert p.wt()[0] == p1.wt1()
-            assert p.wt()[1:] == tail.wt()
-            assert g_weight(p) == g_weight(p1) * g_weight(tail).embed(2)
+            r = p.rank
+            product = LaurentPoly.one(r)
+            for s in p.slices:
+                product = product * g_weight(s).embed(r)
+            assert g_weight(p) == product
+            tail = GTPattern(r - 1, p.arows[1:], p.brows[1:])
+            tail.validate()
+            assert tail.slices == p.slices[1:]
 
 
-def test_short_patterns_match_full_at_rank1_style():
-    # the three-row family at rank 2 has the same statistics as full rank-2
-    for p in enumerate_strict((2, 2)):
-        p1, _ = split(p)
-        assert p1.stats() == ShortGTPattern(2, p.arows[0], p.brows[0], p.arows[1]).stats()
-
-
-def test_enumerate_short_matches_split_images():
-    # every admissible short pattern is the top slice of some full pattern
+def test_top_slices_are_the_slices_below_the_top_row():
+    # every slice below the top row is the top slice of some full pattern
     for mu in [(2, 2), (3, 1), (2, 2, 1), (4, 3), (1, 1, 1), (2, 1, 2)]:
-        tops = {split(p)[0] for p in enumerate_strict(mu)}
-        assert tops == set(enumerate_short(mu)), mu
+        top = top_row(mu)
+        tops = {p.slices[0] for p in enumerate_strict(mu)}
+        assert tops == {ShortGTPattern(top, b, a1) for b, a1 in _slices_below(top)}, mu
 
 
 def test_json_dump_fields():

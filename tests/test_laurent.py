@@ -186,6 +186,18 @@ def test_parse_refuses_a_variable_named_twice_in_a_term(text, name):
         LaurentPoly.parse(text, 1)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1 + 1", "1 * z1^{0}", "0 * z1", "1 * z1^{1}", "1 * z1^{2/2}", "1 + 1 * z1"],
+    ids=str,
+)
+def test_parse_refuses_text_that_str_never_writes(text):
+    # a repeated monomial, a zero exponent or coefficient, an exponent str()
+    # would spell otherwise, or terms out of order were folded silently
+    with pytest.raises(ValueError):
+        LaurentPoly.parse(text, 1)
+
+
 # -- property tests ------------------------------------------------------
 
 

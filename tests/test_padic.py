@@ -13,6 +13,7 @@ from spinchar.padic import (
     ShortPatternB,
     _cyclotomic_sum,
     _gamma_product,
+    _rows_C,
     brute_force_G,
     closed_form_G,
     component_decomposition,
@@ -23,8 +24,6 @@ from spinchar.padic import (
     delta_C_resonant,
     g_delta,
     g_delta_C,
-    gamma,
-    gamma_tilde,
     i_box,
     in_cq1,
     in_cqc,
@@ -42,8 +41,8 @@ from spinchar.padic import (
     prop6_check,
     psi_k,
     resonant_lift,
-    short_pattern_of,
 )
+from spinchar.gtpatterns import c_stats, top_row
 from spinchar.rootdata import shifted_weight, upsilon
 
 ONE = LaurentPoly.one(0)
@@ -63,15 +62,16 @@ def test_l_vector():
 
 
 def test_gamma_tables():
-    assert gamma(False, False) == ONE - QINV
-    assert gamma(True, False) == -QINV
-    assert gamma(False, True) == ONE
-    assert gamma(True, True) == Z
-    assert gamma_tilde(True, False, 2) == -QINV
-    assert gamma_tilde(True, False, 3) == LaurentPoly.monomial(0, qexp=Fraction(-1, 2))
-    assert gamma_tilde(False, False, 3) == Z  # odd generic entries vanish
-    assert gamma_tilde(False, True, 3) == ONE
-    assert gamma_tilde(True, True, 2) == Z
+    # gamma of one (boxed, circled) pair, gamma-tilde of one triple with entry
+    assert _gamma_product([(False, False)]) == ONE - QINV
+    assert _gamma_product([(True, False)]) == -QINV
+    assert _gamma_product([(False, True)]) == ONE
+    assert _gamma_product([(True, True)]) == Z
+    assert _gamma_product([(True, False, 2)]) == -QINV
+    assert _gamma_product([(True, False, 3)]) == LaurentPoly.monomial(0, qexp=Fraction(-1, 2))
+    assert _gamma_product([(False, False, 3)]) == Z  # odd generic entries vanish
+    assert _gamma_product([(False, True, 3)]) == ONE
+    assert _gamma_product([(True, True, 2)]) == Z
 
 
 def test_decorate_B_example():
@@ -217,8 +217,9 @@ def test_representative_independence():
 def test_delta_c_from_short_pattern():
     # rank-1-style degenerate head: single entry boxed iff maximal
     mup = (2, 1)
-    p1 = short_pattern_of((2, 1, 0), mup)
-    assert p1.b1 == (3, 1)  # fully maximal b-row
+    assert in_cqc((2, 1, 0), mup)
+    b1, _ = _rows_C((2, 1, 0), top_row(mup))
+    assert b1 == (3, 1)  # fully maximal b-row
     arr = decorate_C_pullback((2, 1, 0), mup)
     assert arr.boxed[0] and arr.boxed[1]
     # literal and pullback decorations agree away from degenerate tuples
@@ -253,19 +254,18 @@ def test_flavor_c_caps():
 def test_flavor_c_rejects_wrong_length(d):
     # a rank-2 tuple has length 3: longer ones are not truncated, shorter
     # ones raise ValueError rather than IndexError
-    for f in (in_cqc, short_pattern_of, decorate_C_literal, decorate_C_pullback):
+    for f in (in_cqc, decorate_C_literal, decorate_C_pullback):
         with pytest.raises(ValueError, match="length"):
             f(d, (2, 1))
 
 
 def test_pullback_flags_follow_the_pattern_rows():
     # the flags read off d against the maximality / minimality equations
-    # spelled out on the rows of short_pattern_of, entry by entry
+    # spelled out on the three pattern rows of d, entry by entry
     for mp in [(2, 1), (0, 2), (4, 3), (3, 0, 1), (2, 2, 1), (4, 2, 1), (2, 2, 2, 1)]:
-        r = len(mp)
+        r, a0 = len(mp), top_row(mp)
         for d in iter_cqc(mp):
-            p1 = short_pattern_of(d, mp)
-            a0, b1, a1 = p1.a0, p1.b1, p1.a1
+            b1, a1 = _rows_C(d, a0)
             boxed = [b1[j] == a0[j] for j in range(r)]
             circled = [b1[j] == a0[j + 1] for j in range(r - 1)] + [b1[r - 1] == 0]
             for j in range(r - 2, -1, -1):  # cbar_{j+1} <-> a_{1,j+2}
@@ -277,10 +277,11 @@ def test_pullback_flags_follow_the_pattern_rows():
                 )
             arr = decorate_C_pullback(d, mp)
             assert (list(arr.boxed), list(arr.circled)) == (boxed, circled), (mp, d)
+            cb, ca = c_stats(a0, b1, a1)
             for j in range(1, r + 1):
-                assert (p1.c_stat("b", j) - arr.entries[j - 1]) % 2 == 0
+                assert (cb[j - 1] - arr.entries[j - 1]) % 2 == 0
             for j in range(1, r):
-                assert p1.c_stat("a", j + 1) == arr.entries[2 * r - 1 - j]
+                assert ca[j - 1] == arr.entries[2 * r - 1 - j]
 
 
 def test_gamma_product_counts_the_factors():
@@ -298,9 +299,6 @@ def test_gamma_product_counts_the_factors():
     odd = {**even, (True, False): root, (False, False): Z}
     pairs = list(even)
     triples = [p + (e,) for p in pairs for e in range(4)]
-    for b, c, e in triples:
-        assert gamma(b, c) == even[b, c]
-        assert gamma_tilde(b, c, e) == (odd if e % 2 else even)[b, c]
 
     def by_factors(flags):
         out = ONE
@@ -338,7 +336,9 @@ def test_cqc_layer_sums_match_the_per_tuple_sum():
 def test_g_delta_C_values():
     # all-even unboxed uncircled entries
     arr = decorate_C_pullback((1, 1, 1), upsilon((1, 2)))
-    vals = [gamma_tilde(b, c, e) for e, b, c in zip(arr.entries, arr.boxed, arr.circled)]
+    vals = [
+        _gamma_product([(b, c, e)]) for e, b, c in zip(arr.entries, arr.boxed, arr.circled)
+    ]
     assert g_delta_C(arr) == vals[0] * vals[1] * vals[2]
     # totally resonant corrections: both spec examples evaluate to zero
     assert g_delta_C(delta_C_resonant((0, 1), (2, 1))) == Z

@@ -268,8 +268,7 @@ def test_both_sides_reject_a_weight_off_the_cone_or_rank(side, lam, r):
 )
 def test_strip_walk_is_the_circle_tally(lam):
     # Corollary 2 before expansion: the strip walk sums each symbol's share
-    # to the same signed (wt, 2t, n) tally as the pattern walk, key by key,
-    # keys whose counts cancel included
+    # to the same signed (wt, 2t, n) tally as the pattern walk, key by key
     v = shifted_weight(lam)
     assert slice_walk(top_row(v), tableaux._strip_key) == circle_sum(v)
 
