@@ -291,7 +291,15 @@ def test_g_weight_is_multiplicative_over_slices():
             assert tail.slices == p.slices[1:]
 
 
-def test_top_slices_are_the_slices_below_the_top_row():
+def test_short_patterns_match_full_at_rank1_style():
+    # the three-row family at rank 2 has the same statistics as full rank-2
+    for p in enumerate_strict((2, 2)):
+        top = ShortGTPattern(p.arows[0], p.brows[0], p.arows[1])
+        assert p.slices[0] == top
+        assert p.slices[0].stats() == top.stats()
+
+
+def test_enumerate_short_matches_split_images():
     # every slice below the top row is the top slice of some full pattern
     for mu in [(2, 2), (3, 1), (2, 2, 1), (4, 3), (1, 1, 1), (2, 1, 2)]:
         top = top_row(mu)
