@@ -443,6 +443,8 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    if [] in vars(args).values():  # argparse drops a value of --, leaving []
+        _PARSER.error("a flag's value is --")
     code = 0  # the exit code once the output is written
     try:
         if args.command == "verify":

@@ -28,11 +28,11 @@ membership is decided per slice by one guard, _in_circle: a slice is kept
 when its c-statistics are even, and below an a-row of one parity its
 row-parity test must agree.  in_gt_circle conjoins the guard over a
 pattern's slices; circle_sum scores slices with it in slice_walk, a
-transfer over a-rows that adds per-slice keys (w, a, b) along each pattern
-and multiplies their signs, and refuses a kept slice with odd max1.  The
+transfer over a-rows whose join is laurent's product kernel on flat keys
+(w_1..w_r, 2t, n), and refuses a kept slice with odd max1.  The
 tableau-side sum runs the same walk with its own per-slice scorer, which
 refuses a negative share of t, and both sides come out as the same signed
-tally {(wt, 2t, n): count}, nonzero counts only, which expand_tally
+tally {(w_1..w_r, 2t, n): count}, nonzero counts only, which expand_tally
 expands.  enumerate_strict with in_gt_circle is the independent oracle.
 """
 
@@ -45,7 +45,7 @@ from itertools import accumulate
 from math import comb
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, Monomial
+from .laurent import LaurentPoly, Monomial, mul_terms
 from .rootdata import dominant, shifted_weight
 
 MAXIMAL = "maximal"
@@ -384,44 +384,41 @@ def enumerate_circle(mu):
 
 
 def slice_walk(top, score) -> dict:
-    """{(wt, a, b): signed count} over the strict patterns with top row ``top``.
+    """{(w_1..w_r, a, b): signed count} over the strict patterns of top ``top``.
 
     A transfer over a-rows: a pattern is a chain of slices (a_{i-1}, b_i,
     a_i), so the rows below an a-row are summed once (memoized on the a-row)
     and joined to each slice above it.  ``score(a0, b1, a1)`` gives one
-    slice's ((w, a, b), +-1), or None to drop the slice.  A pattern's key is
-    the tuple of its slices' w, top slice first, then the sums of their a
-    and b; it counts the product of their signs.  Keys whose counts cancel
-    are dropped, once per a-row, so every count is nonzero; a guard on the
-    statistics belongs in ``score``, which sees every slice.  There are no
-    patterns (and the result is empty) when the top row is not strictly
-    decreasing.
+    slice's ((w, a, b), +-1), or None to drop the slice.  Slice i is keyed
+    in laurent's flat layout, w in slot i and a, b in the last two, so a
+    pattern's key, the sum of its slices' keys, counts the product of their
+    signs, and one laurent.mul_terms call per a-row joins its slice tallies
+    to the rows below, one pair per next a-row, dropping keys whose counts
+    cancel.  A guard on the statistics belongs in ``score``, which sees
+    every slice.  There are no patterns (and the result is empty) when the
+    top row is not strictly decreasing.
     """
     top = tuple(top)
     if not _strictly_decreasing(top):
         return {}
-    memo = {(): {((), 0, 0): 1}}
+    r = len(top)
+    memo = {(): {(0,) * (r + 2): 1}}
 
     def below(arow):
         if arow in memo:
             return memo[arow]
+        lead, tail = (0,) * (r - len(arow)), (0,) * (len(arow) - 1)
         by_a1 = {}  # slice tallies grouped by the next a-row
         for b1, a1 in _slices_below(arow):
             scored = score(arow, b1, a1)
             if scored is None:
                 continue
-            key, sign = scored
+            (w, a, b), sign = scored
+            key = (*lead, w, *tail, a, b)
             tally = by_a1.setdefault(a1, {})
             tally[key] = tally.get(key, 0) + sign
-        out = {}
-        for a1, tally in by_a1.items():
-            rest = below(a1)
-            for (w, a, b), count in tally.items():
-                for (tw, ta, tb), tcount in rest.items():
-                    joined = ((w,) + tw, a + ta, b + tb)
-                    out[joined] = out.get(joined, 0) + count * tcount
-        out = memo[arow] = {key: count for key, count in out.items() if count}
-        return out
+        memo[arow] = mul_terms([(tally, below(a1)) for a1, tally in by_a1.items()])
+        return memo[arow]
 
     return below(top)
 
@@ -429,7 +426,7 @@ def slice_walk(top, score) -> dict:
 def circle_sum(mu) -> dict:
     """Statistics of the circle subset for top row from mu, without enumerating.
 
-    Returns {(wt, 2 max - max1, gen): sum of (-1)^max}, the same tally as
+    Returns {(*wt, 2 max - max1, gen): sum of (-1)^max}, the same tally as
     over enumerate_circle(mu), by slice_walk: every input to a pattern's
     weight lives in one slice, and a slice is kept by the same guard,
     _in_circle, that in_gt_circle reads, on the slices in_gt_circle reaches.
@@ -455,7 +452,7 @@ def circle_sum(mu) -> dict:
 
 
 def expand_tally(tally: dict, rank: int) -> LaurentPoly:
-    """The sum of c (-1)^t t^t (1+t)^n z^(-wt/2) over a tally {(wt, 2t, n): c}.
+    """The sum of c (-1)^t t^t (1+t)^n z^(-wt/2) over a tally {(*wt, 2t, n): c}.
 
     Both sides of the identity are such tallies: circle_sum on patterns and
     the strip walk of tableaux.corollary_rhs on tableaux.  Their walks check
@@ -463,15 +460,16 @@ def expand_tally(tally: dict, rank: int) -> LaurentPoly:
     one-key tallies of g_weight and tableau_term.
     """
     terms = {}
-    for (wt, twice_t, n), count in tally.items():
+    for key, count in tally.items():
+        twice_t, n = key[-2:]
         if twice_t < 0:
             raise ValueError("negative t exponent; a term outside the circle subset?")
         t = twice_t // 2
         coef = -count if t % 2 else count
-        zexp = tuple(-w for w in wt)  # doubled exponent of -wt/2
+        zexp = tuple(-w for w in key[:-2])  # doubled exponent of -wt/2
         for jj in range(n + 1):
-            key = Monomial(zexp, t + jj, 0)
-            terms[key] = terms.get(key, 0) + coef * comb(n, jj)
+            mono = Monomial(zexp, t + jj, 0)
+            terms[mono] = terms.get(mono, 0) + coef * comb(n, jj)
     return LaurentPoly._make({m: c for m, c in terms.items() if c}, rank)
 
 
@@ -481,7 +479,7 @@ def g_weight(p) -> LaurentPoly:
     st = p.stats()
     if st.max1 % 2:
         raise ValueError(f"odd max1 statistic ({st.max1}); restrict to the circle subset")
-    key = ((0,) * p.rank, 2 * st.max - st.max1, st.gen)
+    key = (*(0,) * p.rank, 2 * st.max - st.max1, st.gen)
     return expand_tally({key: -1 if st.max % 2 else 1}, p.rank)
 
 

@@ -21,13 +21,15 @@ so output is byte-stable.
 The two large kernels run on packed keys (_fields): each slot of a key,
 less a fixed low, fills one bit field of an integer, slot 0 in the most
 significant field, so integer order is key order and, where no field
-carries, adding packed keys multiplies monomials.  A product of at least
-PACKED_MIN_PAIRS pairs packs into int64 and sums its pairs with numpy;
-when the fields need more than 62 bits, an exponent reaches 2^62 in size,
-or sum|a| * max|b| reaches 2^62, int64 could wrap, and it takes the dict
-loop (_mul_dict), which is exact for any input.  Exact division packs into
-Python ints over the dividend's exponent box, which holds every remainder
-key, and finds each leading term on a max-heap of them.
+carries, adding packed keys multiplies monomials.  Both product kernels
+sum the products of a list of pairs (a, b) of term maps, for one product
+or for gtpatterns.slice_walk's join; from PACKED_MIN_PAIRS pairs of terms
+(mul_terms) they pack into int64 and sum with numpy.  When the fields
+need more than 62 bits, an exponent reaches 2^62 in size, or the sum over
+the pairs of sum|a| * max|b| reaches 2^62, int64 could wrap, and the dict
+loop (_mul_dict), exact for any input, takes over.  Exact division packs
+into Python ints over the dividend's exponent box, which holds every
+remainder key, and finds each leading term on a max-heap of them.
 
 Text grammar (see README):
 
@@ -144,73 +146,81 @@ def _fields(lows, spans) -> list:
     return fields[::-1]
 
 
-def _mul_dict(a: dict, b: dict) -> dict:
-    """Term map of the product of two term maps, one key sum per pair."""
+def _mul_dict(pairs) -> dict:
+    """Term map of the sum of the products of pairs (a, b) of term maps."""
     out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(map(add, ma, mb))
-            val = out.get(key, 0) + ca * cb
-            if val:
-                out[key] = val
-            else:
-                del out[key]
+    for a, b in pairs:
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                key = tuple(map(add, ma, mb))
+                val = out.get(key, 0) + ca * cb
+                if val:
+                    out[key] = val
+                else:
+                    out.pop(key, None)
     return out
 
 
-def _mul_packed(a: dict, b: dict) -> dict:
-    """Term map of the product of two term maps, multiplied on int64 keys.
+def _mul_packed(pairs) -> dict:
+    """Term map of the sum of the products of pairs (a, b) of term maps,
+    multiplied on int64 keys.
 
-    Each slot of a factor's keys, less that factor's minimum in the slot,
-    fills a field as wide as the two factors' spans added (_fields), so a
-    sum of two packed keys never carries between fields and adding keys
-    multiplies monomials.  Pairs are formed in blocks of at most
-    _BLOCK_PAIRS and each block is sorted into the running result, whose
-    equal keys are summed; the result is decoded _DECODE_SLICE terms at a
-    time.  When the fields need more than 62 bits, an exponent reaches 2^62
-    in size, or sum|a| * max|b| reaches 2^62, int64 could wrap, and the
-    product is taken by _mul_dict instead.
+    All pairs share one field layout (_fields), from the least to the
+    greatest sum of a pair's bounds in each slot; a's keys are packed less
+    a's minima and b's less the rest of the low, so no key sum carries.
+    Pairs of terms are formed in blocks of at most _BLOCK_PAIRS, each sorted
+    into the one running result, whose equal keys are summed; the result is
+    decoded _DECODE_SLICE terms at a time.  When the fields need more than
+    62 bits, an exponent reaches 2^62 in size, or the sum over the pairs of
+    sum|a| * max|b| reaches 2^62, int64 could wrap, and _mul_dict takes over.
     """
-    if not a or not b:
+    pairs = [(a, b) for a, b in pairs if a and b]
+    if not pairs:
         return {}
-    slots = len(next(iter(a)))
-    try:  # an exponent beyond int64 cannot be packed
-        ea = np.fromiter(chain.from_iterable(a), np.int64, len(a) * slots)
-        eb = np.fromiter(chain.from_iterable(b), np.int64, len(b) * slots)
+    slots = len(next(iter(pairs[0][0])))
+    try:  # an exponent or a coefficient beyond int64 cannot be packed
+        arrays = [  # (ea, eb, ca, cb) of each pair
+            [np.fromiter(chain.from_iterable(m), np.int64, len(m) * slots).reshape(-1, slots)
+             for m in pair] + [np.fromiter(m.values(), np.int64, len(m)) for m in pair]
+            for pair in pairs
+        ]
     except OverflowError:
-        return _mul_dict(a, b)
-    ea, eb = ea.reshape(len(a), slots), eb.reshape(len(b), slots)
-    lo_a, hi_a = ea.min(axis=0).tolist(), ea.max(axis=0).tolist()
-    lo_b, hi_b = eb.min(axis=0).tolist(), eb.max(axis=0).tolist()
-    spans = [ha - la + hb - lb for la, ha, lb, hb in zip(lo_a, hi_a, lo_b, hi_b)]
+        return _mul_dict(pairs)
+    bounds = [  # (lo_a, lo_b, hi_a, hi_b) of each pair
+        [f(e, axis=0).tolist() for f in (np.min, np.max) for e in (ea, eb)]
+        for ea, eb, _, _ in arrays
+    ]
+    lows = [min(col) for col in zip(*(map(add, la, lb) for la, lb, _, _ in bounds))]
+    highs = [max(col) for col in zip(*(map(add, ha, hb) for _, _, ha, hb in bounds))]
+    spans = list(map(sub, highs, lows))
     if (
         sum(span.bit_length() for span in spans) > 62
-        or max(map(abs, lo_a + hi_a + lo_b + hi_b)) >= _INT64_SAFE
-        or sum(map(abs, a.values())) * max(map(abs, b.values())) >= _INT64_SAFE
+        or max(abs(e) for bound in bounds for e in chain(*bound)) >= _INT64_SAFE
+        or sum(sum(map(abs, a.values())) * max(map(abs, b.values())) for a, b in pairs)
+        >= _INT64_SAFE
     ):
-        return _mul_dict(a, b)
+        return _mul_dict(pairs)
 
-    fields = _fields(map(add, lo_a, lo_b), spans)
+    fields = _fields(lows, spans)
     shifts = np.array([shift for shift, _, _ in fields], dtype=np.int64)
-    ka = ((ea - lo_a) << shifts).sum(axis=1)
-    kb = ((eb - lo_b) << shifts).sum(axis=1)
-    ca = np.fromiter(a.values(), np.int64, len(a))
-    cb = np.fromiter(b.values(), np.int64, len(b))
-
     keys = coefs = np.empty(0, dtype=np.int64)
-    step_b = min(len(b), _BLOCK_PAIRS)
-    step_a = max(1, _BLOCK_PAIRS // step_b)
-    for i in range(0, len(a), step_a):
-        for j in range(0, len(b), step_b):
-            k = ka[i:i + step_a, None] + kb[None, j:j + step_b]
-            c = ca[i:i + step_a, None] * cb[None, j:j + step_b]
-            k = np.concatenate((keys, k.ravel()))
-            c = np.concatenate((coefs, c.ravel()))
-            order = np.argsort(k)
-            k = k[order]  # one at a time: the unsorted k is freed first
-            c = c[order]
-            starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-            keys, coefs = k[starts], np.add.reduceat(c, starts)
+    for (ea, eb, ca, cb), (lo_a, _, _, _) in zip(arrays, bounds):
+        ka = ((ea - lo_a) << shifts).sum(axis=1)
+        kb = ((eb - list(map(sub, lows, lo_a))) << shifts).sum(axis=1)
+        step_b = min(len(kb), _BLOCK_PAIRS)
+        step_a = max(1, _BLOCK_PAIRS // step_b)
+        for i in range(0, len(ka), step_a):
+            for j in range(0, len(kb), step_b):
+                k = ka[i:i + step_a, None] + kb[None, j:j + step_b]
+                c = ca[i:i + step_a, None] * cb[None, j:j + step_b]
+                k = np.concatenate((keys, k.ravel()))
+                c = np.concatenate((coefs, c.ravel()))
+                order = np.argsort(k)
+                k = k[order]  # one at a time: the unsorted k is freed first
+                c = c[order]
+                starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+                keys, coefs = k[starts], np.add.reduceat(c, starts)
+    del arrays, ea, eb, ca, cb, ka, kb, k, c  # before the decode, the peak
     kept = coefs != 0
     keys, coefs = keys[kept], coefs[kept]
 
@@ -220,6 +230,14 @@ def _mul_packed(a: dict, b: dict) -> dict:
         cols = [(((part >> s) & mask) + low).tolist() for s, mask, low in fields]
         terms.update(zip(zip(*cols), coefs[i:i + _DECODE_SLICE].tolist()))
     return terms
+
+
+def mul_terms(pairs) -> dict:
+    """_mul_packed from PACKED_MIN_PAIRS pairs of terms in all, else _mul_dict."""
+    size = 0  # a loop, not sum(): a one-pair product pays no generator
+    for a, b in pairs:
+        size += len(a) * len(b)
+    return (_mul_packed if size >= PACKED_MIN_PAIRS else _mul_dict)(pairs)
 
 
 class LaurentPoly:
@@ -338,23 +356,9 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        mul = _mul_packed if len(a) * len(b) >= PACKED_MIN_PAIRS else _mul_dict
-        return LaurentPoly._make(mul(a, b), self.rank)
+        return LaurentPoly._make(mul_terms([(a, b)]), self.rank)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            inv = self.inverse_monomial()
-            return inv ** (-n)
-        result = LaurentPoly.one(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def inverse_monomial(self) -> "LaurentPoly":
         """Inverse of a single-term polynomial with coefficient ±1."""
@@ -406,9 +410,6 @@ class LaurentPoly:
             {m[:r] + pad + m[r:]: c for m, c in self.terms.items()}, rank
         )
 
-    def leading(self) -> tuple:
-        return max(self.terms)
-
     # -- division ----------------------------------------------------------
 
     def div_exact(self, divisor: "LaurentPoly") -> "LaurentPoly":
@@ -430,7 +431,7 @@ class LaurentPoly:
         if not self:
             return LaurentPoly.zero(self.rank)
 
-        lead_b = divisor.leading()
+        lead_b = max(divisor.terms)
         coef_b = divisor.terms[lead_b]
         cols = list(zip(zip(*self.terms), zip(*divisor.terms)))
         lo = [min(a) - min(b) for a, b in cols]

@@ -25,8 +25,8 @@ class Report:
     def verdict(self) -> str:
         return "pass" if not self.mismatches else "fail"
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "claim": self.claim,
             "params": self.params,
             "verdict": self.verdict,
@@ -35,7 +35,4 @@ class Report:
             "mismatches": self.mismatches,
             "counts": self.counts,
             "runtime_ms": self.runtime_ms,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        }, sort_keys=True)

@@ -31,8 +31,9 @@ gtpatterns.slice_walk, scoring the same slices once each (_strip_key) and
 never touching the pattern statistics.  Each strip's key and sign are its
 shares of tableau_term's, and each circle strip's share of t is checked
 to be nonnegative, so the walk returns gtpatterns.circle_sum's signed
-tally and gtpatterns.expand_tally expands both.  The enumeration
-sum stays as the oracle _corollary_rhs_by_enumeration.
+tally {(w_1..w_r, 2t, n): count}, joined by laurent's product kernel, and
+gtpatterns.expand_tally expands both.  The enumeration sum stays as the
+oracle _corollary_rhs_by_enumeration.
 """
 
 from __future__ import annotations
@@ -290,7 +291,7 @@ def tableau_term(s: Tableau) -> LaurentPoly:
     st = statistics(s)
     r, t = s.rank, st.hgtbar + st.l_total
     sign = -1 if (r * (r + 1) // 2 - st.l_total + t) % 2 else 1
-    return expand_tally({(st.wt, 2 * t, st.str_total - r): sign}, r)
+    return expand_tally({(*st.wt, 2 * t, st.str_total - r): sign}, r)
 
 
 def _strip_key(hi: tuple, mid: tuple, lo: tuple):

@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import THEOREM1_CASES
 
 from spinchar import cli
@@ -245,6 +249,10 @@ def test_enumerate_cq_csv():
         ("enumerate", "cq", "--muprime", "99999999999999999999"),
         ("enumerate", "tableaux", "--mu", "99999999999999999999"),
         ("verify", "lemma3", "--mu", "99999999999999999999,1"),
+        # "--" as a value, which argparse reads as no value at all
+        ("verify", "theorem1", "--lambda=--"),
+        ("verify", "prop4", "--mu", "2,2", "--p=--"),
+        ("enumerate", "cq", "--muprime", "1", "--format=--"),
     ],
     ids=" ".join,
 )
@@ -361,3 +369,73 @@ def test_readme_cli_examples_parse():
     parser = cli.build_parser()
     for argv in calls:
         parser.parse_args(argv)
+
+
+# -- the CLI contract, swept over calls drawn from the command tables ---------
+
+_MALFORMED = st.sampled_from(["", " ", "x", "1.5", "1e3", "--", "0x3", "nan", "1,,2", ",", "a,b"])
+_LISTS = ("lambda", "mu", "muprime", "k")
+# Flags whose size sets the work: well-formed values stay at most this.
+_BOUNDS = {"dmax": 2, "kmax": 3, "budget": 10**4}
+_EXPONENTS = ("1", "-1", "1/2", "-3/2", "0", "1e400", "nan", "1/0", "x", "")
+
+
+def _flag_value(flag):
+    """The text of one flag's value: well formed, or empty, negative,
+    malformed or huge.  Lists have ranks and entries at most 3 and sums at
+    most 5, and no huge value raises the work a call does."""
+    spec = cli._FLAG_SPECS[flag]
+    if "choices" in spec:
+        return st.one_of(st.sampled_from(spec["choices"]), _MALFORMED)
+    if flag == "fix":
+        names = st.sampled_from(["z1", "z2", "z4", "t", "q", "w", ""])
+        fixes = st.builds("{}={}".format, names, st.sampled_from(_EXPONENTS))
+        return st.one_of(fixes, _MALFORMED)
+    if flag in _LISTS:
+        lists = st.lists(st.integers(-1, 3), max_size=3).filter(lambda xs: sum(xs) <= 5)
+        return st.one_of(lists.map(lambda xs: ",".join(map(str, xs))), _MALFORMED)
+    bound = _BOUNDS.get(flag, 3)
+    huge = [-(10**25)] if flag in _BOUNDS else [-(10**25), 10**25, 2**63]
+    ints = st.one_of(st.integers(-3, bound), st.sampled_from(huge))
+    return st.one_of(ints.map(str), _MALFORMED)
+
+
+def _commands():
+    """(argv prefix, flags) of every claim, enumeration kind and coeff."""
+    for command, table, extra in (
+        ("verify", cli._VERIFIERS, ("timing",)), ("enumerate", cli._ENUMERATORS, ()),
+    ):
+        for name, (_, flags) in table.items():
+            yield [command, name], flags + extra
+    yield ["coeff"], ("rank", "lambda", "fix", "t0")
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_drawn_call_keeps_the_cli_contract(data):
+    # Each flag of the call is left out, given once or given twice, and now
+    # and then a flag the call does not read is added.
+    prefix, flags = data.draw(st.sampled_from(list(_commands())))
+    foreign = [flag for flag in cli._FLAG_SPECS if flag not in flags]
+    chosen = [flag for flag in flags for _ in range(data.draw(st.sampled_from((0, 1, 1, 2))))]
+    chosen += data.draw(st.lists(st.sampled_from(foreign), max_size=1))
+    argv = list(prefix)
+    for flag in data.draw(st.permutations(chosen)):
+        if cli._FLAG_SPECS[flag].get("action") == "store_true":
+            argv.append(f"--{flag}")
+        elif data.draw(st.booleans()):
+            argv.append(f"--{flag}={data.draw(_flag_value(flag))}")
+        else:
+            argv += [f"--{flag}", data.draw(_flag_value(flag))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refusing the call
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+    elif prefix[0] == "verify":
+        assert json.loads(out.getvalue())["verdict"] == ("pass", "fail")[code], argv

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from spinchar.laurent import (
     _mul_dict,
     _mul_packed,
     _twice,
+    mul_terms,
 )
 from spinchar.rootdata import character, deformed_denominator
 
@@ -240,6 +243,41 @@ def test_serialize_parse_round_trip(p):
     assert LaurentPoly.parse(str(p), p.rank) == p
 
 
+def _mutations(text):
+    """Near-canonical variants of str(P): two terms swapped, a term
+    repeated, an exponent 1 written ^{1} or ^{2/2}, a coefficient made 0,
+    or a space doubled."""
+    terms = text.split(" + ")
+    swaps = [
+        " + ".join(terms[:i] + [terms[j]] + terms[i + 1:j] + [terms[i]] + terms[j + 1:])
+        for i in range(len(terms)) for j in range(i + 1, len(terms))
+    ]
+    repeats = [" + ".join(terms[:i + 1] + terms[i:]) for i in range(len(terms))]
+    bare = [m.end() for m in re.finditer(r"\b(z\d+|t|q)\b(?!\^)", text)]
+    ones = [text[:i] + exp + text[i:] for i in bare for exp in ("^{1}", "^{2/2}")]
+    zeros = [
+        " + ".join(terms[:i] + [re.sub(r"^-?\d+", "0", terms[i])] + terms[i + 1:])
+        for i in range(len(terms))
+    ]
+    spaces = [text[:i] + " " + text[i:] for i, c in enumerate(text) if c == " "]
+    return swaps + repeats + ones + zeros + spaces
+
+
+@pytest.mark.parametrize("rank", range(4))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_parse_accepts_exactly_what_str_writes(rank, data):
+    p = data.draw(polys(rank))
+    text = str(p)
+    assert LaurentPoly.parse(text, rank) == p
+    for mutated in _mutations(text):
+        try:
+            q = LaurentPoly.parse(mutated, rank)
+        except ValueError:
+            continue
+        assert str(q) == mutated.strip(), mutated
+
+
 @given(polys(), polys())
 @settings(max_examples=40, deadline=None)
 def test_substitute_is_homomorphism(a, b):
@@ -293,9 +331,9 @@ def test_packed_product_matches_dict_loop(rank, sizes, data):
     # many pairs share a monomial.
     maps = term_maps(rank, -8, 8, st.integers(-9, 9), *sizes)
     a, b = data.draw(maps), data.draw(maps)
-    want = _mul_dict(a, b)
-    assert _mul_packed(a, b) == want
-    assert _mul_packed(b, a) == want
+    want = _mul_dict([(a, b)])
+    assert _mul_packed([(a, b)]) == want
+    assert _mul_packed([(b, a)]) == want
     assert (LaurentPoly(a, rank) * LaurentPoly(b, rank)).terms == want
 
 
@@ -305,7 +343,7 @@ def test_packed_product_matches_dict_loop(rank, sizes, data):
 def test_packed_product_has_no_fixed_width(rank, data):
     maps = term_maps(rank, -(10**6), 10**6, st.integers(-(2**70), 2**70), 0, 12)
     a, b = data.draw(maps), data.draw(maps)
-    assert _mul_packed(a, b) == _mul_dict(a, b)
+    assert _mul_packed([(a, b)]) == _mul_dict([(a, b)])
 
 
 def test_packed_product_drops_cancelled_terms():
@@ -315,15 +353,51 @@ def test_packed_product_drops_cancelled_terms():
     a = {Monomial((2, 0), 0, 0): 1, Monomial((0, 2), 0, 0): -1}
     b = {Monomial((2 * (n - 1 - i), 2 * i), 1, 1): 1 for i in range(n)}
     want = {Monomial((2 * n, 0), 1, 1): 1, Monomial((0, 2 * n), 1, 1): -1}
-    assert _mul_dict(a, b) == want
-    assert _mul_packed(a, b) == want
+    assert _mul_dict([(a, b)]) == want
+    assert _mul_packed([(a, b)]) == want
     assert (LaurentPoly(a, 2) * LaurentPoly(b, 2)).terms == want
+
+
+@pytest.mark.parametrize("n", (1, PACKED_MIN_PAIRS), ids=("below", "above"))
+def test_products_take_zero_coefficients(n):
+    # A slice tally can hold counts that cancel to 0: both kernels take them,
+    # and a zero product leaves no term.
+    a = {Monomial((0, 0), 0, 0): 0, Monomial((2, 0), 0, 0): 1}
+    b = {Monomial((0, 2 * j), 1, 0): 1 + j for j in range(n)}
+    b[Monomial((0, -2), 0, 1)] = 0
+    want = {Monomial((2, 2 * j), 1, 0): 1 + j for j in range(n)}
+    assert _mul_dict([(a, b)]) == want
+    assert _mul_packed([(a, b)]) == want
+    assert _mul_dict([(b, a)]) == _mul_packed([(b, a)]) == want
+
+
+@pytest.mark.parametrize("sizes", ((0, 8), (16, 40)), ids=("below", "above"))
+@pytest.mark.parametrize("rank", (0, 2))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_products_of_several_pairs_sum(rank, sizes, data):
+    # Pairs whose exponents lie far apart share one field layout; each pair
+    # may hold zero coefficients, and a pair may be empty.
+    maps = term_maps(rank, -6, 6, st.integers(-9, 9), *sizes)
+    pairs = []
+    for base in data.draw(st.lists(st.integers(-40, 40), min_size=1, max_size=4)):
+        a, b = data.draw(maps), data.draw(maps)
+        zeros = data.draw(st.lists(st.sampled_from(sorted(a)), max_size=2)) if a else []
+        shift = Monomial((base,) * rank, 0, base)
+        a = {tuple(map(add, m, shift)): 0 if m in zeros else c for m, c in a.items()}
+        pairs.append((a, b))
+    want = LaurentPoly.zero(rank)
+    for a, b in pairs:
+        want = want + LaurentPoly(a, rank) * LaurentPoly(b, rank)
+    assert _mul_dict(pairs) == want.terms
+    assert _mul_packed(pairs) == want.terms
+    assert mul_terms(pairs) == want.terms
 
 
 def test_packed_product_on_a_rank_four_character():
     d, chi = deformed_denominator(4).terms, character((1, 0, 0, 0), 4).terms
     assert len(d) * len(chi) >= PACKED_MIN_PAIRS
-    assert _mul_packed(d, chi) == _mul_dict(d, chi)
+    assert _mul_packed([(d, chi)]) == _mul_dict([(d, chi)])
 
 
 # -- the int64 guards and the blocks of the packed product ------------------
@@ -335,9 +409,9 @@ def fallbacks(monkeypatch):
     the _mul_dict imported above as their oracle, which is not recorded."""
     seen = []
 
-    def recording(a, b):
-        seen.append((a, b))
-        return _mul_dict(a, b)
+    def recording(pairs):
+        seen.append(pairs)
+        return _mul_dict(pairs)
 
     monkeypatch.setattr(laurent, "_mul_dict", recording)
     return seen
@@ -353,8 +427,8 @@ def test_packed_product_field_width_guard(fallbacks, q_span, bits):
     a, b = {zero: 1, x: 1}, {zero: 1, x: -1}
     want = {zero: 1, tuple(2 * e for e in x): -1}
     assert sum((2 * e).bit_length() for e in x) == bits
-    assert _mul_dict(a, b) == want
-    assert _mul_packed(a, b) == want
+    assert _mul_dict([(a, b)]) == want
+    assert _mul_packed([(a, b)]) == want
     assert len(fallbacks) == (bits > 62)
 
 
@@ -370,8 +444,8 @@ def test_packed_product_coefficient_guard(fallbacks, bound):
     else:
         a, b = {one: 1 << 30, z1: 1 << 30}, {z1: top, one: top}
     assert sum(map(abs, a.values())) * max(map(abs, b.values())) == bound
-    got = _mul_packed(a, b)
-    assert got == _mul_dict(a, b)
+    got = _mul_packed([(a, b)])
+    assert got == _mul_dict([(a, b)])
     assert got[z1] == bound
     assert len(fallbacks) == (bound >= 1 << 62)
 
@@ -386,7 +460,7 @@ def test_packed_product_far_exponents(fallbacks, base):
     a = {Monomial((base, 3), 1, base): 2, Monomial((base + 2, -1), 0, base - 1): -1}
     b = {Monomial((-base, 0), 2, 5): 3, Monomial((7 - base, 1), 0, 4): 1}
     far = max(abs(e) for key in (*a, *b) for e in key) >= 1 << 62
-    assert _mul_packed(a, b) == _mul_dict(a, b)
+    assert _mul_packed([(a, b)]) == _mul_dict([(a, b)])
     assert len(fallbacks) == far
 
 
@@ -402,8 +476,8 @@ def test_packed_product_at_block_boundaries(fallbacks, m, n):
     a = {Monomial((i % 17, -(i // 17)), i % 2, 0): (-1) ** i * (1 + i % 3) for i in range(m)}
     b = {Monomial((j % 23, j // 23), 0, j % 3): 1 + j % 4 for j in range(n)}
     assert len(a) == m and len(b) == n
-    want = _mul_dict(a, b)
-    assert _mul_packed(a, b) == want
+    want = _mul_dict([(a, b)])
+    assert _mul_packed([(a, b)]) == want
     assert (LaurentPoly(a, 2) * LaurentPoly(b, 2)).terms == want
     assert not fallbacks
 
@@ -418,8 +492,8 @@ def test_packed_product_cancels_across_blocks(fallbacks):
     a = {Monomial((2, 0), 0, -1): 1, Monomial((0, -2), 0, -1): -1}
     b = {Monomial((2 * (n - 1 - i), -2 * i), 1, 1): 1 for i in range(n)}
     want = {Monomial((2 * n, 0), 1, 0): 1, Monomial((0, -2 * n), 1, 0): -1}
-    assert _mul_packed(a, b) == want
-    assert _mul_dict(a, b) == want
+    assert _mul_packed([(a, b)]) == want
+    assert _mul_dict([(a, b)]) == want
     assert not fallbacks
 
 
