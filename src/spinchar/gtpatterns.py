@@ -34,14 +34,20 @@ tableau-side sum runs the same walk with its own per-slice scorer, which
 refuses a negative share of t, and both sides come out as the same signed
 tally {(w_1..w_r, 2t, n): count}, nonzero counts only, which expand_tally
 expands.  enumerate_strict with in_gt_circle is the independent oracle.
+
+Records are written from str.format templates, made once per rank by
+json_template from a skeleton record, so json still sets the key order
+and separators; GTPattern.to_json fills its template from the slices'
+entries in slice order, and tableaux.tableau_json uses the same helper.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb
 from typing import NamedTuple
 
@@ -120,22 +126,17 @@ class GTPattern:
         return tuple(s.wt1() for s in self.slices)
 
     def to_json(self) -> str:
-        classes, cstats = {}, {}
-        for i, s in enumerate(self.slices, 1):
-            for (kind, j), (cls, c) in s.entries.items():
-                name = f"{kind}{i},{j + i - 1}"
-                classes[name] = cls
-                cstats[name] = c
-        record = {
-            "rank": self.rank,
-            "rows": [list(row) for row in self.rows()],
-            "stats": list(self.stats()),
-            "classes": classes,
-            "cstats": cstats,
-            "wt": list(self.wt()),
-            "in_circle": in_gt_circle(self),
-        }
-        return json.dumps(record, sort_keys=True)
+        """The pattern's JSONL record: _pattern_template(rank) filled with
+        its rows, statistics, weight, circle flag and, slice by slice, the
+        (class, c-statistic) of each entry."""
+        values = [v for row in self.rows() for v in row]
+        values += self.stats()
+        values += self.wt()
+        values.append("true" if in_gt_circle(self) else "false")
+        for s in self.slices:
+            for cls, c in s.entries.values():
+                values += (_QUOTED[cls], c)
+        return _pattern_template(self.rank).format(*values)
 
 
 class PatternStats(NamedTuple):
@@ -260,6 +261,54 @@ def _slice(a0: tuple, b1: tuple, a1: tuple) -> ShortGTPattern:
     """A shared slice: the patterns of one top have few distinct slices
     (618 among the 15,288 patterns of top (2,2,2)), so each is built once."""
     return ShortGTPattern(a0, b1, a1)
+
+
+# -- records -----------------------------------------------------------------
+
+
+def json_template(skeleton: dict) -> str:
+    """A str.format template of json.dumps(record, sort_keys=True).
+
+    ``skeleton`` is a record with slot(k) in place of each value that
+    varies; value k of the format call must be that value's JSON text.  Key
+    order and separators come from json, so names sort as strings
+    ("a10,10" before "a2,2").
+    """
+    text = json.dumps(skeleton, sort_keys=True).replace("{", "{{").replace("}", "}}")
+    return re.sub(r'"\\u0000(\d+)"', r"{\1}", text)
+
+
+def slot(k: int) -> str:
+    """The skeleton value that json_template turns into format field k."""
+    return f"\0{k}"
+
+
+_QUOTED = {cls: json.dumps(cls) for cls in (MAXIMAL, MINIMAL, GENERIC)}
+
+
+@lru_cache(maxsize=64)
+def _pattern_template(r: int) -> str:
+    """GTPattern.to_json's template at rank r.  Its fields are the rows in
+    display order, stats, wt, in_circle, then (class, c-statistic) of each
+    entry, slice by slice in ShortGTPattern.entries order."""
+    slots = map(slot, count())
+    rows = [[next(slots) for _ in range(n)] for n in range(r, 0, -1) for _ in "ab"]
+    record = {
+        "rank": r,
+        "rows": rows,
+        "stats": [next(slots) for _ in PatternStats._fields],
+        "wt": [next(slots) for _ in range(r)],
+        "in_circle": next(slots),
+        "classes": {},
+        "cstats": {},
+    }
+    for i in range(1, r + 1):  # slice i = rows a_{i-1}, b_i, a_i
+        keys = [("b", 1)] + [(kind, j) for j in range(2, r - i + 2) for kind in "ba"]
+        for kind, j in keys:
+            name = f"{kind}{i},{j + i - 1}"
+            record["classes"][name] = next(slots)
+            record["cstats"][name] = next(slots)
+    return json_template(record)
 
 
 # -- enumeration -----------------------------------------------------------

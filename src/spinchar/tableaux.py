@@ -10,7 +10,14 @@ The pattern bijection is one count map (count_rows): for each row L and
 value m, the counts N_L(m') and N_L(m) of cells with entry <= m' (resp.
 <= m) are the pattern entries N_L(m) = a_{r-m, L+r-m} and N_L(m') =
 b_{r-m+1, L+r-m}, missing entries counting 0.  to_gt builds its pattern
-from the count rows and from_gt inverts them.
+from the count rows and from_gt inverts them, writing each row as runs of
+m' and m.  A tableau made by from_gt carries its pattern's rows, which
+count_rows returns without counting; a tableau made from its cells alone
+is counted, by bisection in its sorted rows.
+
+The JSONL record (tableau_json) fills a str.format template made once per
+rank and number of rows by gtpatterns.json_template, with each row's JSON
+text cached by row.
 
 Ribbon strips here are per-value: the cells holding one fixed symbol,
 with horizontal/vertical cell adjacency; str(S) totals their connected
@@ -40,12 +47,14 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from typing import NamedTuple, Optional
 
 from .gtpatterns import (
-    GTPattern, enumerate_strict, expand_tally, slice_rows, slice_walk, top_row,
+    GTPattern, enumerate_strict, expand_tally, json_template, slice_rows, slice_walk,
+    slot, top_row,
 )
 from .laurent import LaurentPoly
 from .rootdata import dominant, shifted_weight
@@ -68,6 +77,10 @@ def symbol_name(code: int) -> str:
 class Tableau:
     rank: int
     rows: tuple  # rows[L-1] = tuple of entry codes; row L starts at column L
+    # The count rows (arows, brows) of a tableau made by from_gt, which are
+    # its pattern's rows; None otherwise.  count_rows returns them.
+    _count_rows: Optional[tuple] = field(
+        init=False, compare=False, repr=False, default=None)
 
     @property
     def shape(self) -> tuple:
@@ -136,8 +149,12 @@ def count_rows(s: Tableau) -> tuple:
 
     Row a_{r-m} holds N_L(m) and row b_{r-m+1} holds N_L(m'), the cells of
     row L = 1..m with entry <= m (resp. <= m'); missing rows count 0.
-    Raises ValueError when a row starts below its diagonal symbol L'.
+    Raises ValueError when a row starts below its diagonal symbol L'.  A
+    tableau made by from_gt carries its pattern's rows, which are returned
+    without counting.
     """
+    if s._count_rows is not None:
+        return s._count_rows
     r, rows = s.rank, s.rows
     for li, row in enumerate(rows):
         if row and row[0] < barred(li + 1):
@@ -151,20 +168,25 @@ def count_rows(s: Tableau) -> tuple:
 
 
 def from_gt(p: GTPattern) -> Tableau:
-    """The tableau whose count rows are the pattern's rows."""
+    """The tableau whose count rows are the pattern's rows, which it carries.
+
+    Row L holds, for m = L..r, N_L(m') - N_L(m-1) cells m' (code 2m-1) and
+    N_L(m) - N_L(m') cells m (code 2m), written as runs.
+    """
     r, arows, brows = p.rank, p.arows, p.brows
     rows = []
     for li in range(r):  # row L = li + 1 holds the symbols m >= L
-        row = []
+        row = ()
         nprev = 0  # N_L(m-1)
         for m in range(li + 1, r + 1):
             nbar, nfull = brows[r - m][li], arows[r - m][li]
-            row.extend([barred(m)] * (nbar - nprev))
-            row.extend([unbarred(m)] * (nfull - nbar))
+            row += (2 * m - 1,) * (nbar - nprev) + (2 * m,) * (nfull - nbar)
             nprev = nfull
         if row:
-            rows.append(tuple(row))
-    return Tableau(r, tuple(rows))
+            rows.append(row)
+    s = Tableau(r, tuple(rows))
+    object.__setattr__(s, "_count_rows", (arows, brows))  # frozen
+    return s
 
 
 def to_gt(s: Tableau) -> GTPattern:
@@ -341,18 +363,42 @@ def _corollary_rhs_by_enumeration(lam, r: int = None) -> LaurentPoly:
 
 
 def tableau_json(s: Tableau) -> str:
+    """The tableau's JSONL record: _tableau_template(rank, rows) filled with
+    the JSON text of each row (_row_json), the shape and the statistics."""
     strips = symbol_strips(s)
     st = _statistics(strips)
-    record = {
-        "rank": s.rank,
-        "rows": [[symbol_name(c) for c in row] for row in s.rows],
-        "shape": list(s.shape),
-        "str": st.str_total,
-        "x": list(st.x),
-        "xbar": list(st.xbar),
-        "wt": list(st.wt),
-        "hgtbar": st.hgtbar,
-        "l": list(st.l_values) if st.l_values is not None else None,
-        "in_circle": all(strip.in_circle for strip in strips),
-    }
-    return json.dumps(record, sort_keys=True)
+    values = [_row_json(row) for row in s.rows]
+    values += s.shape
+    values += (st.str_total, st.hgtbar)
+    values += st.x
+    values += st.xbar
+    values += st.wt
+    # str of a list of ints is its JSON text
+    values.append("null" if st.l_values is None else str(list(st.l_values)))
+    values.append("true" if all(strip.in_circle for strip in strips) else "false")
+    return _tableau_template(s.rank, len(s.rows)).format(*values)
+
+
+@lru_cache(maxsize=256)
+def _tableau_template(r: int, n: int) -> str:
+    """tableau_json's template for rank r and n rows.  Its fields are the
+    rows, shape, str, hgtbar, x, xbar, wt, l and in_circle."""
+    slots = map(slot, count())
+    return json_template({
+        "rank": r,
+        "rows": [next(slots) for _ in range(n)],
+        "shape": [next(slots) for _ in range(n)],
+        "str": next(slots),
+        "hgtbar": next(slots),
+        "x": [next(slots) for _ in range(r)],
+        "xbar": [next(slots) for _ in range(r)],
+        "wt": [next(slots) for _ in range(r)],
+        "l": next(slots),
+        "in_circle": next(slots),
+    })
+
+
+@lru_cache(maxsize=1 << 12)
+def _row_json(row: tuple) -> str:
+    """The JSON text of one row's symbol names."""
+    return json.dumps([symbol_name(c) for c in row])

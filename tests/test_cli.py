@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import THEOREM1_CASES
 
-from spinchar import cli
+from spinchar import cli, gtpatterns, tableaux
 
 PY = [sys.executable, "-m", "spinchar"]
 
@@ -171,6 +171,75 @@ def test_rank4_coeff_outputs_are_byte_stable(lam, digest):
     assert out.returncode == 0
     assert out.stdout.count("\n") == 1
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+def _pattern_record(p):
+    """The gt record built as a dict and dumped: the oracle of GTPattern.to_json."""
+    classes, cstats = {}, {}
+    for i, s in enumerate(p.slices, 1):
+        for (kind, j), (cls, c) in s.entries.items():
+            name = f"{kind}{i},{j + i - 1}"
+            classes[name] = cls
+            cstats[name] = c
+    record = {
+        "rank": p.rank,
+        "rows": [list(row) for row in p.rows()],
+        "stats": list(p.stats()),
+        "classes": classes,
+        "cstats": cstats,
+        "wt": list(p.wt()),
+        "in_circle": gtpatterns.in_gt_circle(p),
+    }
+    return json.dumps(record, sort_keys=True)
+
+
+def _tableau_record(s):
+    """The tableaux record built as a dict and dumped: the oracle of tableau_json."""
+    strips = tableaux.symbol_strips(s)
+    stats = tableaux._statistics(strips)
+    record = {
+        "rank": s.rank,
+        "rows": [[tableaux.symbol_name(c) for c in row] for row in s.rows],
+        "shape": list(s.shape),
+        "str": stats.str_total,
+        "x": list(stats.x),
+        "xbar": list(stats.xbar),
+        "wt": list(stats.wt),
+        "hgtbar": stats.hgtbar,
+        "l": list(stats.l_values) if stats.l_values is not None else None,
+        "in_circle": all(strip.in_circle for strip in strips),
+    }
+    return json.dumps(record, sort_keys=True)
+
+
+_RECORD_CALLS = [
+    (mu, extra) for extra in ((), ("--circle-only",))
+    for mu in ("0", "1", "2,1,0", "2,2,1", "1,1,1,1")
+] + [(",".join("1" * 10), ("--limit", "50"))]
+
+
+@pytest.mark.parametrize("kind", ["gt", "tableaux"])
+@pytest.mark.parametrize(
+    "mu, extra", _RECORD_CALLS, ids=[" ".join((mu, *extra)) for mu, extra in _RECORD_CALLS]
+)
+def test_record_writers_match_the_dict_oracle(kind, mu, extra):
+    # every record the CLI writes is byte for byte the dumped dict record,
+    # at rank 10 too, where names sort as strings ("a10,10" before "a2,2");
+    # the oracle's tableaux carry no count rows
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["enumerate", kind, "--mu", mu, *extra]) == 0
+    expected = []
+    for p in gtpatterns.enumerate_strict(tuple(map(int, mu.split(",")))):
+        if kind == "tableaux":
+            s = tableaux.Tableau(p.rank, tableaux.from_gt(p).rows)
+            if "--circle-only" not in extra or tableaux.in_st_circle(s):
+                expected.append(_tableau_record(s))
+        elif "--circle-only" not in extra or gtpatterns.in_gt_circle(p):
+            expected.append(_pattern_record(p))
+        if len(expected) == 50 and "--limit" in extra:
+            break
+    assert out.getvalue().splitlines() == expected
 
 
 def test_enumerate_zero_mu():

@@ -198,6 +198,35 @@ def test_strips_are_scored_off_the_pattern_slices(mu):
         assert symbol_strips(s) == tuple(reversed(by_slice))
 
 
+@pytest.mark.parametrize("mu", [(2, 2), (3, 1), (2, 1, 1), (2, 2, 1)], ids=str)
+def test_count_map_counts_what_from_gt_carries(mu):
+    # a tableau made from its rows alone carries no count rows, so the
+    # count map reads them off the cells; they must be the pattern's rows
+    for p in enumerate_strict(mu):
+        s = from_gt(p)
+        bare = Tableau(s.rank, s.rows)
+        assert bare._count_rows is None
+        assert count_rows(bare) == (p.arows, p.brows)
+        assert symbol_strips(bare) == symbol_strips(s)
+
+
+def test_carried_count_rows_stay_private():
+    # the carried rows are no constructor argument and take no part in
+    # equality, hashing or repr
+    rows = ((1, 2), (4,))
+    with pytest.raises(TypeError):
+        Tableau(2, rows, (((2, 1), (1,)), ((1, 0), (0,))))
+    with pytest.raises(TypeError):
+        Tableau(2, rows, _count_rows=None)
+    for mu in [(2, 2), (2, 1, 1)]:
+        for p in enumerate_strict(mu):
+            s = from_gt(p)
+            bare = Tableau(p.rank, s.rows)
+            assert s == bare and hash(s) == hash(bare) and repr(s) == repr(bare)
+            assert from_gt(to_gt(s)) == s
+            assert from_gt(to_gt(bare)) == s
+
+
 def test_term_match_and_aggregate():
     for lam in itertools.product(range(2), repeat=2):
         r = 2
