@@ -22,6 +22,9 @@ IDENTITY_GRID = (
 # The {0,1}^4 weights that the rank-4 frontier jobs below leave out.
 RANK4_GRID = [lam for lam in itertools.product(range(2), repeat=4)
               if lam not in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1))]
+# theorem1 runs at every {0,1}^4 weight but (1,1,1,1), which takes over 20 s.
+THEOREM1_RANK4 = [lam for lam in itertools.product(range(2), repeat=4)
+                  if lam not in ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1))]
 
 
 def lambda_args(lam) -> list:
@@ -58,6 +61,7 @@ JOBS += [
     ("gh", ["--lambda", "0,0,0,0,0"]),
     ("corollary2", lambda_args((0, 0, 0, 0, 0))),  # the rank-5 frontier
     *((claim, lambda_args(lam)) for lam in RANK4_GRID for claim in ("corollary2", "gh")),
+    *(("theorem1", lambda_args(lam)) for lam in THEOREM1_RANK4),
     ("prop4", ["--rank", "2", "--mu", "2,2", "--p", "3", "--dmax", "3"]),
     *(("prop4", ["--rank", "3", "--mu", "2,1,2", "--p", p, "--dmax", "2",
                  "--budget", "300000"]) for p in ("2", "3", "5")),
@@ -89,18 +93,20 @@ def outcome(proc) -> str:
 
 def main():
     tally = {"pass": 0, "fail": 0, "error": 0}
+    total = 0.0
     for claim, args in JOBS:
         cmd = [sys.executable, "-m", "spinchar", "verify", claim] + args
         start = time.perf_counter()
         proc = subprocess.run(cmd, capture_output=True, text=True)
         elapsed = time.perf_counter() - start
+        total += elapsed
         result = outcome(proc)
         tally[result] += 1
         print(f"{claim:14s} {' '.join(args):42s} -> {result:5s} {elapsed:8.2f}s")
         if result == "error" and proc.stderr:
             print("   ", proc.stderr.strip())
     print(
-        f"\n{tally['pass']}/{len(JOBS)} jobs passed, "
+        f"\n{tally['pass']}/{len(JOBS)} jobs passed in {total:.1f} s of job wall time, "
         f"{tally['fail']} failed verification, {tally['error']} errors"
     )
     if tally["error"]:

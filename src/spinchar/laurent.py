@@ -119,9 +119,11 @@ _Z_NAME_RE = re.compile(r"z([1-9][0-9]*)")
 # terms, from about 384 when one factor has two, and on every shape from 512.
 PACKED_MIN_PAIRS = 512
 
-# The packed product forms at most this many pairs at a time, and decodes
-# its result this many terms at a time, so its arrays stay small next to
-# the term maps themselves.
+# The packed product forms its pairs of terms in blocks of whole rows
+# a_i + b, as many as this many pairs hold but at least one row, so a block
+# holds at most max(_BLOCK_PAIRS, len(b)) pairs; it decodes its result
+# _DECODE_SLICE terms at a time.  Its arrays stay small next to the term
+# maps themselves.
 _BLOCK_PAIRS = 1 << 16
 _DECODE_SLICE = 4096
 
@@ -168,11 +170,15 @@ def _mul_packed(pairs) -> dict:
     All pairs share one field layout (_fields), from the least to the
     greatest sum of a pair's bounds in each slot; a's keys are packed less
     a's minima and b's less the rest of the low, so no key sum carries.
-    Pairs of terms are formed in blocks of at most _BLOCK_PAIRS, each sorted
-    into the one running result, whose equal keys are summed; the result is
+    b's keys are sorted once per pair, so each row a_i + b of pairs of terms
+    is a sorted run.  A block is as many whole rows as _BLOCK_PAIRS holds, at
+    least one, so at most max(_BLOCK_PAIRS, len(b)) pairs; a stable sort,
+    which merges sorted runs rather than re-sorting them, merges each block
+    into the one running result, whose equal keys are summed.  The result is
     decoded _DECODE_SLICE terms at a time.  When the fields need more than
     62 bits, an exponent reaches 2^62 in size, or the sum over the pairs of
     sum|a| * max|b| reaches 2^62, int64 could wrap, and _mul_dict takes over.
+    The packed exponents follow Monagan and Pearce (CASC 2007).
     """
     pairs = [(a, b) for a, b in pairs if a and b]
     if not pairs:
@@ -207,20 +213,18 @@ def _mul_packed(pairs) -> dict:
     for (ea, eb, ca, cb), (lo_a, _, _, _) in zip(arrays, bounds):
         ka = ((ea - lo_a) << shifts).sum(axis=1)
         kb = ((eb - list(map(sub, lows, lo_a))) << shifts).sum(axis=1)
-        step_b = min(len(kb), _BLOCK_PAIRS)
-        step_a = max(1, _BLOCK_PAIRS // step_b)
-        for i in range(0, len(ka), step_a):
-            for j in range(0, len(kb), step_b):
-                k = ka[i:i + step_a, None] + kb[None, j:j + step_b]
-                c = ca[i:i + step_a, None] * cb[None, j:j + step_b]
-                k = np.concatenate((keys, k.ravel()))
-                c = np.concatenate((coefs, c.ravel()))
-                order = np.argsort(k)
-                k = k[order]  # one at a time: the unsorted k is freed first
-                c = c[order]
-                starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-                keys, coefs = k[starts], np.add.reduceat(c, starts)
-    del arrays, ea, eb, ca, cb, ka, kb, k, c  # before the decode, the peak
+        order = np.argsort(kb)
+        kb, cb = kb[order], cb[order]
+        step = max(1, _BLOCK_PAIRS // len(kb))
+        for i in range(0, len(ka), step):
+            k = np.concatenate((keys, (ka[i:i + step, None] + kb).ravel()))
+            c = np.concatenate((coefs, (ca[i:i + step, None] * cb).ravel()))
+            order = np.argsort(k, kind="stable")  # merges the sorted runs
+            k = k[order]  # one at a time: the unsorted k is freed first
+            c = c[order]
+            starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+            keys, coefs = k[starts], np.add.reduceat(c, starts)
+    del arrays, ea, eb, ca, cb, ka, kb, k, c, order  # before the decode, the peak
     kept = coefs != 0
     keys, coefs = keys[kept], coefs[kept]
 

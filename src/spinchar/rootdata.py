@@ -6,55 +6,19 @@ z-exponents of a LaurentPoly.  The torus convention is
 z^(sum a_i e_i-vee) = prod z_i^(a_i), fixed globally.  The character is
 computed by exact division of alternating Weyl-group sums, which keeps it
 fully independent of the pattern machinery it is later checked against.
+An element of W(B_r) is a permutation with a sign vector, and
+weyl_numerator loops over both, with sign (-1)^inversions * prod(signs);
+the deformed denominator multiplies one two-term factor per positive root.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
+from operator import add, sub
 
 from .laurent import LaurentPoly, Monomial, prod
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """Element of the hyperoctahedral group W(B_r): permutation plus signs."""
-
-    perm: tuple  # perm[i] = image of i (0-based)
-    signs: tuple  # entries +1 / -1
-
-    def sign_character(self) -> int:
-        par = 1
-        seen = [False] * len(self.perm)
-        for i in range(len(self.perm)):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.perm[j]
-                length += 1
-            if length % 2 == 0:
-                par = -par
-        for s in self.signs:
-            par *= s
-        return par
-
-    def act_twice(self, coords_twice: tuple) -> tuple:
-        """Action on doubled e-vee coordinates: permute then flip signs."""
-        out = [0] * len(coords_twice)
-        for i, c in enumerate(coords_twice):
-            out[self.perm[i]] = self.signs[self.perm[i]] * c
-        return tuple(out)
-
-
-def weyl_group(r: int):
-    """All 2^r r! signed permutations, deterministic order."""
-    for perm in itertools.permutations(range(r)):
-        for signs in itertools.product((1, -1), repeat=r):
-            yield SignedPermutation(perm, signs)
 
 
 def lambda_to_evee(lam, r: int = None) -> tuple:
@@ -102,23 +66,15 @@ def deformed_denominator(r: int) -> LaurentPoly:
     """The type-B deformed Weyl denominator D(z; t).
 
     z^(-rho) times the product of (1 + t z^alpha) over the positive roots
-    z_i, z_i z_j^{-1}, z_i z_j (i < j), fully expanded.
+    e_i, e_i - e_j, e_i + e_j (i < j), fully expanded.
     """
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    one = LaurentPoly.one(r)
-    t = LaurentPoly.t_var(r)
-    factors = []
-    for i in range(1, r + 1):
-        factors.append(one + t * LaurentPoly.z_var(r, i))
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            zi, zj = LaurentPoly.z_var(r, i), LaurentPoly.z_var(r, j)
-            factors.append(one + t * zi * zj.inverse_monomial())
-            factors.append(one + t * zi * zj)
-    # z^(-rho): the doubled z-exponents are -(2 (r - i) + 1).
-    z_minus_rho = tuple(-(2 * (r - i) + 1) for i in range(1, r + 1))
-    return prod(factors, r).shift(Monomial(z_minus_rho, 0, 0))
+    z_minus_rho = Monomial([-x for x in rho(r)])
+    e = [[2 * (k == i) for k in range(r)] for i in range(r)]  # e_i, doubled
+    roots = e + [list(map(op, e[i], e[j]))
+                 for i, j in itertools.combinations(range(r), 2) for op in (sub, add)]
+    one = Monomial((0,) * r)
+    factors = (LaurentPoly({one: 1, Monomial(alpha, 1): 1}, r) for alpha in roots)
+    return prod(factors, r).shift(z_minus_rho)
 
 
 def weyl_numerator(nu: tuple, r: int = None) -> LaurentPoly:
@@ -136,10 +92,14 @@ def weyl_numerator(nu: tuple, r: int = None) -> LaurentPoly:
     if any(coords[i] <= coords[i + 1] for i in range(r - 1)) or coords[-1] <= 0:
         raise ValueError(f"doubled coordinates {coords} are not strictly dominant")
     terms = {}
-    for w in weyl_group(r):
-        mono = Monomial(w.act_twice(coords), 0, 0)
-        sgn = w.sign_character()
-        terms[mono] = terms.get(mono, 0) + sgn
+    for perm in itertools.permutations(range(r)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        for signs in itertools.product((1, -1), repeat=r):
+            z = [0] * r
+            for i, c in enumerate(coords):  # w(nu): nu_i goes to slot perm[i]
+                z[perm[i]] = signs[perm[i]] * c
+            mono = Monomial(z)
+            terms[mono] = terms.get(mono, 0) + (-1) ** inversions * math.prod(signs)
     return LaurentPoly(terms, r)
 
 

@@ -398,6 +398,8 @@ def test_verify_all_jobs_parse_and_cover_the_acceptance_grid():
     spec = importlib.util.spec_from_file_location("verify_all", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    jobs = [(claim, tuple(argv)) for claim, argv in script.JOBS]
+    assert len(set(jobs)) == len(jobs), "a job is listed twice"
     parser = cli.build_parser()
     grid = {"theorem1": set(), "corollary2": set()}
     for claim, argv in script.JOBS:

@@ -470,9 +470,10 @@ def test_packed_product_far_exponents(fallbacks, base):
     ids=("B-1", "B", "B+1", "rows-split", "columns-split"),
 )
 def test_packed_product_at_block_boundaries(fallbacks, m, n):
-    # Pair counts at _BLOCK_PAIRS (B) and one pair either side of it, and
-    # two products that take two blocks; key sums collide within a block
-    # and across blocks.
+    # Pair counts at _BLOCK_PAIRS (B) and one pair either side of it (B+1
+    # is one row, a block over B), and two products that take two blocks:
+    # 257 rows of 256, and two rows of B/2 + 1, one block each; key sums
+    # collide within a block and across blocks.
     a = {Monomial((i % 17, -(i // 17)), i % 2, 0): (-1) ** i * (1 + i % 3) for i in range(m)}
     b = {Monomial((j % 23, j // 23), 0, j % 3): 1 + j % 4 for j in range(n)}
     assert len(a) == m and len(b) == n

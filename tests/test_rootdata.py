@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from spinchar.laurent import LaurentPoly
+from spinchar.laurent import LaurentPoly, Monomial, prod
 from spinchar.rootdata import (
-    SignedPermutation,
     character,
     deformed_denominator,
     lambda_to_evee,
@@ -14,7 +13,6 @@ from spinchar.rootdata import (
     upsilon,
     upsilon_inverse,
     weyl_dimension,
-    weyl_group,
     weyl_numerator,
 )
 
@@ -117,10 +115,29 @@ def test_weyl_numerator_antisymmetry():
 
 
 def test_sign_character():
-    w = SignedPermutation((1, 0), (1, 1))
-    assert w.sign_character() == -1
-    assert sum(w.sign_character() for w in weyl_group(2)) == 0
-    assert len(list(weyl_group(3))) == 48
+    # The sign of w is (-1)^inversions * prod(signs): the transposition
+    # sends (3, 1) to (1, 3) with sign -1, the signs cancel over the group,
+    # and W(B_3) has 2^3 3! = 48 elements.
+    n = weyl_numerator((3, 1), 2)
+    assert n.terms[Monomial((1, 3))] == -1
+    assert n.evaluate({"z1": 1, "z2": 1}) == 0
+    assert len(weyl_numerator(rho(3), 3).terms) == 48
+
+
+@pytest.mark.parametrize("r", (1, 2, 3, 4))
+def test_weyl_denominator_formula(r):
+    # N(rho) = prod over alpha > 0 of (z^(alpha/2) - z^(-alpha/2)), with the
+    # positive roots e_i, e_i - e_j and e_i + e_j (i < j); alpha/2 in
+    # doubled coordinates is alpha's plain coordinates.
+    halves = [tuple(int(k == i) for k in range(r)) for i in range(r)]
+    for i, j in itertools.combinations(range(r), 2):
+        for sign in (-1, 1):
+            halves.append(tuple((k == i) + sign * (k == j) for k in range(r)))
+    assert len(halves) == r * r
+    factors = [
+        LaurentPoly({Monomial(h): 1, Monomial(tuple(-e for e in h)): -1}, r) for h in halves
+    ]
+    assert weyl_numerator(rho(r), r) == prod(factors, r)
 
 
 def test_character_rank1_schur():
