@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Run the full desk-scale verification battery through the CLI.
 
-Prints one line per job with its verdict and wall-clock runtime, then a
-summary.  A job that exits 1 with a JSON report is a verification failure;
-a usage or budget error (exit 2), a traceback, or output that is not a
-report is an error.  Exits 0 when every job passes, 1 when some claim
+Prints one line per job with its verdict, wall-clock runtime and peak RSS
+(the job's own, from os.wait4), then a summary with the largest peak RSS.
+A job that exits 1 with a JSON report is a verification failure; a usage
+or budget error (exit 2), a traceback, or output that is not a report is
+an error.  Exits 0 when every job passes, 1 when some claim
 fails and nothing errs, 2 when any job errs.
 """
 
 import itertools
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 
 IDENTITY_GRID = (
@@ -91,23 +94,41 @@ def outcome(proc) -> str:
     return "error"
 
 
+def run(cmd):
+    """The finished process of cmd, and its peak RSS in MB.  os.wait4 reads
+    the child's own rusage; RUSAGE_CHILDREN would give the largest peak of
+    every child so far."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        child = subprocess.Popen(cmd, stdout=out, stderr=err)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        out.seek(0)
+        err.seek(0)
+        proc = subprocess.CompletedProcess(
+            cmd, child.returncode, out.read().decode(), err.read().decode()
+        )
+    return proc, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
 def main():
     tally = {"pass": 0, "fail": 0, "error": 0}
-    total = 0.0
+    total = peak = 0.0
     for claim, args in JOBS:
         cmd = [sys.executable, "-m", "spinchar", "verify", claim] + args
         start = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc, rss = run(cmd)
         elapsed = time.perf_counter() - start
         total += elapsed
+        peak = max(peak, rss)
         result = outcome(proc)
         tally[result] += 1
-        print(f"{claim:14s} {' '.join(args):42s} -> {result:5s} {elapsed:8.2f}s")
+        print(f"{claim:14s} {' '.join(args):42s} -> {result:5s} {elapsed:8.2f}s {rss:7.1f} MB")
         if result == "error" and proc.stderr:
             print("   ", proc.stderr.strip())
     print(
         f"\n{tally['pass']}/{len(JOBS)} jobs passed in {total:.1f} s of job wall time, "
-        f"{tally['fail']} failed verification, {tally['error']} errors"
+        f"{tally['fail']} failed verification, {tally['error']} errors, "
+        f"peak RSS {peak:.1f} MB"
     )
     if tally["error"]:
         return 2

@@ -19,6 +19,7 @@ import time
 from fractions import Fraction
 
 from . import gtpatterns, padic, rootdata, tableaux, whittaker
+from .laurent import LaurentPoly
 from .reports import Report
 
 USAGE_ERROR = 2
@@ -93,17 +94,22 @@ def _at_least(value, flag: str, least: int = 0):
 def _verify_theorem1(args) -> Report:
     lam, r = _dominant_lambda(args, "theorem1")
     mu = tuple(l + 1 for l in lam)
-    lhs = rootdata.deformed_denominator(r) * rootdata.weyl_numerator(
+    rep = Report("theorem1", {"rank": r, "lambda": list(lam)})
+    # One side at a time is held as a polynomial and kept as its text: str
+    # is canonical, so the texts agree exactly when the sides do.
+    side = rootdata.deformed_denominator(r) * rootdata.weyl_numerator(
         rootdata.lambda_to_evee(mu), r
     )
-    rhs = gtpatterns.tokuyama_rhs(lam, r) * rootdata.weyl_numerator(
+    rep.lhs, lhs_terms = str(side), len(side)
+    del side
+    side = gtpatterns.tokuyama_rhs(lam, r) * rootdata.weyl_numerator(
         rootdata.rho(r), r
     )
-    rep = Report("theorem1", {"rank": r, "lambda": list(lam)})
-    rep.lhs, rep.rhs = str(lhs), str(rhs)
-    rep.counts = {"lhs_terms": len(lhs), "rhs_terms": len(rhs)}
-    if lhs != rhs:
-        diff = lhs - rhs
+    rep.rhs, rhs_terms = str(side), len(side)
+    del side
+    rep.counts = {"lhs_terms": lhs_terms, "rhs_terms": rhs_terms}
+    if rep.lhs != rep.rhs:
+        diff = LaurentPoly.parse(rep.lhs, r) - LaurentPoly.parse(rep.rhs, r)
         rep.mismatches.append({"difference": str(diff)})
     return rep
 
@@ -349,8 +355,6 @@ _ENUMERATORS = {
 def _coeff(args) -> None:
     lam, r = _dominant_lambda(args, "coeff")
     product = rootdata.deformed_denominator(r) * rootdata.character(lam, r)
-    if args.t0:
-        product = product.substitute({"t": 0})
     constraints = {}
     for fix in args.fix or ():
         if "=" not in fix:
@@ -391,7 +395,6 @@ _FLAG_SPECS = {
     "index": {"type": int},
     "format": {"choices": ("jsonl", "csv"), "default": "jsonl"},
     "fix": {"action": "append", "metavar": "VAR=EXP"},
-    "t0": {"action": "store_true"},
 }
 
 
@@ -431,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (_, flags) in table.items():
             _with_flags(names.add_parser(name), flags + extra)
     coeff = sub.add_parser("coeff", help="print a coefficient of the product")
-    _with_flags(coeff, ("rank", "lambda", "fix", "t0"))
+    _with_flags(coeff, ("rank", "lambda", "fix"))
     return ap
 
 

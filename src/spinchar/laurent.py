@@ -285,37 +285,17 @@ class LaurentPoly:
         return LaurentPoly._make({}, rank)
 
     @staticmethod
-    def const(value: int, rank: int) -> "LaurentPoly":
-        if value == 0:
-            return LaurentPoly.zero(rank)
-        return LaurentPoly._make({Monomial((0,) * rank): int(value)}, rank)
-
-    @staticmethod
     def one(rank: int) -> "LaurentPoly":
-        return LaurentPoly.const(1, rank)
+        return LaurentPoly._make({Monomial((0,) * rank): 1}, rank)
 
     @staticmethod
     def monomial(rank: int, zexp=(), texp: int = 0, qexp=0, coef: int = 1) -> "LaurentPoly":
-        """Single term; zexp entries and qexp are half-integers (int or Fraction)."""
-        zt = list(zexp) + [0] * (rank - len(list(zexp)))
-        z = tuple(_twice(e) for e in zt)
-        mono = Monomial(z, texp, _twice(qexp))
-        if coef == 0:
-            return LaurentPoly.zero(rank)
-        return LaurentPoly({mono: coef}, rank)
-
-    @staticmethod
-    def z_var(rank: int, i: int, half: bool = False) -> "LaurentPoly":
-        """The variable z_i (1-based), or z_i^{1/2} when half is set."""
-        if not 1 <= i <= rank:
-            raise RankMismatchError(f"z{i} out of range for rank {rank}")
-        z = [0] * rank
-        z[i - 1] = 1 if half else 2
-        return LaurentPoly._make({Monomial(z): 1}, rank)
-
-    @staticmethod
-    def t_var(rank: int) -> "LaurentPoly":
-        return LaurentPoly._make({Monomial((0,) * rank, 1): 1}, rank)
+        """coef z^zexp t^texp q^qexp, the one single-term constructor: zexp
+        holds the exponents of z_1, z_2, ... (those it leaves out are 0); its
+        entries and qexp are half-integers (int or Fraction)."""
+        z = [_twice(e) for e in zexp]
+        z += [0] * (rank - len(z))
+        return LaurentPoly({Monomial(z, texp, _twice(qexp)): coef}, rank)
 
     # -- ring operations ---------------------------------------------------
 
@@ -324,8 +304,8 @@ class LaurentPoly:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other, self.rank)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check_rank(other)
         out = dict(self.terms)
         for mono, coef in other.terms.items():
@@ -336,56 +316,28 @@ class LaurentPoly:
                 out.pop(mono, None)
         return LaurentPoly._make(out, self.rank)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly._make({m: -c for m, c in self.terms.items()}, self.rank)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.const(other, self.rank)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly.zero(self.rank)
-            return LaurentPoly._make(
-                {m: c * other for m, c in self.terms.items()}, self.rank
-            )
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check_rank(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         return LaurentPoly._make(mul_terms([(a, b)]), self.rank)
 
-    __rmul__ = __mul__
-
-    def inverse_monomial(self) -> "LaurentPoly":
-        """Inverse of a single-term polynomial with coefficient ±1."""
-        if len(self.terms) != 1:
-            raise NonExactDivisionError("only monomials are invertible", self)
-        (mono, coef), = self.terms.items()
-        if coef not in (1, -1):
-            raise NonExactDivisionError("unit coefficient required", self)
-        inv = tuple(-e for e in mono)
-        if inv[self.rank] < 0:
-            raise NonExactDivisionError("negative t exponent in inverse", self)
-        return LaurentPoly._make({inv: coef}, self.rank)
-
-    def shift(self, mono: tuple, coef: int = 1) -> "LaurentPoly":
+    def shift(self, mono: tuple) -> "LaurentPoly":
         """Multiply by a single monomial key (fast path, no dict merging)."""
         return LaurentPoly._make(
-            {tuple(map(add, m, mono)): c * coef for m, c in self.terms.items()},
-            self.rank,
+            {tuple(map(add, m, mono)): c for m, c in self.terms.items()}, self.rank
         )
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == LaurentPoly.const(other, self.rank).terms
         return (
             isinstance(other, LaurentPoly)
             and self.rank == other.rank
@@ -530,64 +482,28 @@ class LaurentPoly:
 
     def _bind(self, bindings: Mapping) -> dict:
         """Term map, with Fraction coefficients, of the polynomial with each
-        named variable replaced by a number or a single-term polynomial.
-
-        All variables are replaced at once: a binding's own variables are
-        not bound again.
-        """
-        r = self.rank
-        slots, values = [], []
-        for name, value in bindings.items():
-            slots.append(self._slot(name))
-            if isinstance(value, LaurentPoly):
-                if value.rank != r:
-                    raise RankMismatchError("binding rank mismatch")
-                if len(value.terms) != 1:
-                    raise SubstitutionError(
-                        "a polynomial binding must be a single term"
-                    )
-                (bm, bc), = value.terms.items()
-                # A square root of t^n needs n even: its doubled slot is 0 mod 4.
-                square = not (any(x % 2 for x in bm) or bm[r] % 4)
-                spread = [(i, x) for i, x in enumerate(bm) if x]
-                value = (Fraction(bc), spread, square)
-            else:
-                value = Fraction(value)
-            values.append(value)
+        named variable replaced by a number (anything Fraction accepts)."""
+        binds = [(self._slot(name), Fraction(value)) for name, value in bindings.items()]
         acc: dict = {}
         for mono, coef in self.terms.items():
             rat = Fraction(coef)
             e = list(mono)
-            twices = [e[s] for s in slots]
-            for s in slots:
-                e[s] = 0
-            for value, twice in zip(values, twices):
-                if not twice:
-                    continue
-                if type(value) is Fraction:
-                    rat *= self._rational_power(value, twice)
-                    continue
-                bc, spread, square = value
-                if twice % 2 and not square:
-                    raise SubstitutionError("binding is not an exact square monomial")
-                rat *= self._rational_power(bc, twice)
-                for i, x in spread:  # times twice/2, exact by the square check
-                    e[i] += twice * x // 2
-            if e[r] < 0:
-                raise SubstitutionError("negative t exponent produced")
+            for slot, value in binds:
+                if e[slot]:
+                    rat *= self._rational_power(value, e[slot])
+                    e[slot] = 0
             key = tuple(e)
             acc[key] = acc[key] + rat if key in acc else rat
         return acc
 
-    def substitute(self, bindings: Mapping[str, Union[int, Fraction, "LaurentPoly"]]) -> "LaurentPoly":
-        """Exact substitution of variables by rationals or single-term polynomials.
+    def substitute(self, bindings: Mapping[str, Union[int, Fraction]]) -> "LaurentPoly":
+        """Exact substitution of numbers for variables.
 
         Keys are variable names ("z1", ..., "t", "q"); a name that is not a
         variable at this rank raises RankMismatchError.  A variable
-        appearing with half-integer exponents needs a binding with an exact
-        square root (a square rational, or a single-term square monomial).
-        Raises SubstitutionError on a polynomial binding of more than one
-        term, or if the result would have fractional coefficients.
+        appearing with half-integer exponents needs a value with an exact
+        square root (a square rational).  Raises SubstitutionError if the
+        result would have fractional coefficients.
         """
         out = {}
         for key, val in self._bind(bindings).items():

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from test_acceptance import THEOREM1_CASES
 
 from spinchar import cli, gtpatterns, tableaux
+from spinchar.laurent import LaurentPoly
+from spinchar.rootdata import deformed_denominator, lambda_to_evee, rho, weyl_numerator
 
 PY = [sys.executable, "-m", "spinchar"]
 
@@ -95,8 +97,6 @@ def test_verify_lemma3_and_prop6():
 def test_coeff_worked_example():
     out = run("coeff", "--rank", "2", "--lambda", "3,2", "--fix", "z2=11/2")
     assert out.returncode == 0
-    from spinchar.laurent import LaurentPoly
-
     got = LaurentPoly.parse(out.stdout.strip(), 2)
     expected = LaurentPoly.parse(
         "1 * z1^{3/2} t^{3} + 1 * z1^{1/2} t^{3} + 1 * z1^{1/2} t^{2} + "
@@ -107,9 +107,33 @@ def test_coeff_worked_example():
 
 
 def test_coeff_t0_and_impossible():
-    out = run("coeff", "--rank", "1", "--lambda", "2", "--fix", "z1=99", "--t0")
+    # --fix t=0 keeps the t^0 part of the product; coeff reads no --t0
+    out = run("coeff", "--rank", "1", "--lambda", "2", "--fix", "z1=99", "--fix", "t=0")
     assert out.returncode == 0
     assert out.stdout.strip() == "0"
+    out = run("coeff", "--rank", "2", "--lambda", "1,1", "--fix", "t=0")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+        "7606ba2eb855e8986cb04caa3f8409aa7fd30ff8b80ebbfaabff37d3fe9b4b54"
+    )
+    assert run("coeff", "--rank", "2", "--lambda", "1,1", "--t0").returncode == 2
+
+
+def test_theorem1_reports_the_difference_of_spoiled_sides(monkeypatch):
+    # tokuyama_rhs one term off: exit 1, and the difference is lhs - rhs
+    lam, r = (1, 0), 2
+    real = gtpatterns.tokuyama_rhs
+    stray = LaurentPoly.monomial(r, [1, 0], texp=2)
+    monkeypatch.setattr(gtpatterns, "tokuyama_rhs", lambda *a: real(*a) + stray)
+    lhs = deformed_denominator(r) * weyl_numerator(lambda_to_evee((2, 1)), r)
+    rhs = (real(lam, r) + stray) * weyl_numerator(rho(r), r)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "theorem1", "--rank", "2", "--lambda", "1,0"])
+    report = json.loads(out.getvalue())
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["mismatches"] == [{"difference": str(lhs - rhs)}]
+    assert (report["lhs"], report["rhs"]) == (str(lhs), str(rhs))
 
 
 def test_enumerate_gt_counts_match_tableaux():
@@ -478,7 +502,7 @@ def _commands():
     ):
         for name, (_, flags) in table.items():
             yield [command, name], flags + extra
-    yield ["coeff"], ("rank", "lambda", "fix", "t0")
+    yield ["coeff"], ("rank", "lambda", "fix")
 
 
 @given(data=st.data())

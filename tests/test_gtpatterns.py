@@ -89,7 +89,7 @@ def test_example_statistics():
     assert odd_maximal == {("b", 1, 4), ("b", 1, 5), ("a", 1, 4), ("a", 1, 5)}
     assert in_gt_circle(EXAMPLE)
     assert g_weight(EXAMPLE) == LaurentPoly.monomial(5, texp=7) * prod(
-        [LaurentPoly.one(5) + LaurentPoly.t_var(5)] * 8, 5
+        [LaurentPoly.one(5) + LaurentPoly.monomial(5, texp=1)] * 8, 5
     )
 
 
@@ -98,7 +98,7 @@ def test_rank1_c_stat_and_weights():
         p = GTPattern(1, ((mu1,),), ((b,),))
         assert p.slices[0].entries[("b", 1)][1] == 0
         g = g_weight(p)
-        one, t = LaurentPoly.one(1), LaurentPoly.t_var(1)
+        one, t = LaurentPoly.one(1), LaurentPoly.monomial(1, texp=1)
         if b == 0:
             assert g == one
         elif b == mu1:

@@ -8,9 +8,9 @@ import pytest
 
 from spinchar import whittaker
 from spinchar.gtpatterns import top_row
-from spinchar.laurent import LaurentPoly, Monomial
+from spinchar.laurent import LaurentPoly, Monomial, prod
 from spinchar.padic import cqc_layer_sums
-from spinchar.rootdata import character, deformed_denominator, upsilon
+from spinchar.rootdata import character, deformed_denominator, rho, upsilon
 from spinchar.whittaker import (
     gh_check,
     h_base,
@@ -26,6 +26,27 @@ ONE = LaurentPoly.one(0)
 
 def qpow(n):
     return LaurentPoly.monomial(0, qexp=n)
+
+
+def denominator_at_minus_qinv(r):
+    """D(z; -1/q) from its product form: z^(-rho) times 1 - q^(-1) z^alpha
+    over the positive roots alpha = e_i, e_i - e_j, e_i + e_j (i < j)."""
+    e = [[int(k == i) for k in range(r)] for i in range(r)]
+    roots = e + [
+        [x + sign * y for x, y in zip(e[i], e[j])]
+        for i, j in itertools.combinations(range(r), 2) for sign in (-1, 1)
+    ]
+    one = LaurentPoly.one(r)
+    factors = [one - LaurentPoly.monomial(r, alpha, qexp=-1) for alpha in roots]
+    z_minus_rho = LaurentPoly.monomial(r, [Fraction(-x, 2) for x in rho(r)])
+    return z_minus_rho * prod(factors, r)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3, 4))
+def test_denominator_at_minus_qinv_is_its_product_form(r):
+    # _at_minus_qinv, which the bridges apply to D(z; t), against the
+    # product form with t = -1/q put into each factor
+    assert whittaker._at_minus_qinv(deformed_denominator(r)) == denominator_at_minus_qinv(r)
 
 
 def test_h_base_table():
@@ -150,7 +171,7 @@ def test_bridges_report_a_skewed_coefficient(monkeypatch):
 
     def skewed(k, lam_):
         value = real(k, lam_)
-        return value + 1 if tuple(k) == bad else value
+        return value + LaurentPoly.one(0) if tuple(k) == bad else value
 
     monkeypatch.setattr(whittaker, "h_flat", skewed)
     for check in (gh_check, prop3_check):
@@ -163,8 +184,7 @@ def test_bridge_reports_a_stray_monomial_and_a_wrong_coefficient():
     # _bridge on D(z; -1/q) chi_lam, correct as it stands, then spoiled twice
     lam = (1, 2)
     a0 = top_row(upsilon((2, 3)))
-    tsub = LaurentPoly.monomial(2, qexp=-1, coef=-1)
-    poly = deformed_denominator(2).substitute({"t": tsub}) * character(lam)
+    poly = denominator_at_minus_qinv(2) * character(lam)
     assert whittaker._bridge(lam, poly).ok
 
     # z_1 one half-step off every k: no k carries the monomial
@@ -191,8 +211,7 @@ def test_bridge_report_does_not_depend_on_term_order():
     # lists the strays in descending key order.
     lam = (1, 2)
     a0 = top_row(upsilon((2, 3)))
-    tsub = LaurentPoly.monomial(2, qexp=-1, coef=-1)
-    poly = deformed_denominator(2).substitute({"t": tsub}) * character(lam)
+    poly = denominator_at_minus_qinv(2) * character(lam)
     strays = [Monomial((1 - a0[0] + 2 * i, -a0[1] - 2 * i), 0, -i) for i in (1, -2, 0)]
     k = sorted(h_support(lam))[1]
     off = Monomial(whittaker._z_of_k(a0, k), 0, 0)
