@@ -7,10 +7,13 @@ A job that exits 1 with a JSON report is a verification failure; a usage
 or budget error (exit 2), a traceback, or output that is not a report is
 an error.  Exits 0 when every job passes, 1 when some claim
 fails and nothing errs, 2 when any job errs.
+
+A child's ru_maxrss never reads below the high-water mark of the process
+that spawned it, so the driver never holds a report: each report is parsed
+by a short-lived child that reads the report file on stdin (report_verdict).
 """
 
 import itertools
-import json
 import os
 import subprocess
 import sys
@@ -80,34 +83,48 @@ JOBS += [
 ]
 
 
-def outcome(proc) -> str:
-    """pass / fail (a verification failure) / error."""
-    if proc.returncode in (0, 1) and "Traceback" not in proc.stderr:
-        try:
-            verdict = json.loads(proc.stdout)["verdict"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            return "error"
-        if (proc.returncode, verdict) == (0, "pass"):
+def outcome(returncode: int, stderr: str, verdict) -> str:
+    """pass / fail (a verification failure) / error, from the exit code,
+    stderr and the report's verdict (None when stdout is not a report)."""
+    if returncode in (0, 1) and "Traceback" not in stderr:
+        if (returncode, verdict) == (0, "pass"):
             return "pass"
-        if (proc.returncode, verdict) == (1, "fail"):
+        if (returncode, verdict) == (1, "fail"):
             return "fail"
     return "error"
 
 
+def report_verdict(report):
+    """The "verdict" of the JSON report in the open file ``report``, or None
+    when it holds no JSON object with a string verdict.  A short-lived child
+    parses the whole report from its stdin, so the driver never holds it."""
+    report.seek(0)
+    child = subprocess.run([sys.executable, "-c", """
+import json, sys
+try:
+    verdict = json.loads(sys.stdin.buffer.read().decode())["verdict"]
+except (ValueError, KeyError, TypeError):
+    verdict = None
+if isinstance(verdict, str):
+    sys.stdout.write(verdict)
+"""], stdin=report, capture_output=True, text=True)
+    return child.stdout or None
+
+
 def run(cmd):
-    """The finished process of cmd, and its peak RSS in MB.  os.wait4 reads
-    the child's own rusage; RUSAGE_CHILDREN would give the largest peak of
-    every child so far."""
+    """The outcome of cmd, its stderr, its wall time in s and its peak RSS
+    in MB.  os.wait4 reads the child's own rusage; RUSAGE_CHILDREN would
+    give the largest peak of every child so far."""
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
         child = subprocess.Popen(cmd, stdout=out, stderr=err)
         _, status, usage = os.wait4(child.pid, 0)
+        elapsed = time.perf_counter() - start
         child.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
-        out.seek(0)
         err.seek(0)
-        proc = subprocess.CompletedProcess(
-            cmd, child.returncode, out.read().decode(), err.read().decode()
-        )
-    return proc, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+        stderr = err.read().decode()
+        result = outcome(child.returncode, stderr, report_verdict(out))
+    return result, stderr, elapsed, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
 def main():
@@ -115,16 +132,13 @@ def main():
     total = peak = 0.0
     for claim, args in JOBS:
         cmd = [sys.executable, "-m", "spinchar", "verify", claim] + args
-        start = time.perf_counter()
-        proc, rss = run(cmd)
-        elapsed = time.perf_counter() - start
+        result, stderr, elapsed, rss = run(cmd)
         total += elapsed
         peak = max(peak, rss)
-        result = outcome(proc)
         tally[result] += 1
         print(f"{claim:14s} {' '.join(args):42s} -> {result:5s} {elapsed:8.2f}s {rss:7.1f} MB")
-        if result == "error" and proc.stderr:
-            print("   ", proc.stderr.strip())
+        if result == "error" and stderr:
+            print("   ", stderr.strip())
     print(
         f"\n{tally['pass']}/{len(JOBS)} jobs passed in {total:.1f} s of job wall time, "
         f"{tally['fail']} failed verification, {tally['error']} errors, "

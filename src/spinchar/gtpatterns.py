@@ -469,7 +469,9 @@ def slice_walk(top, score) -> dict:
         memo[arow] = mul_terms([(tally, below(a1)) for a1, tally in by_a1.items()])
         return memo[arow]
 
-    return below(top)
+    tally = below(top)
+    del below  # it refers to itself: the cycle would keep the memo until a gc pass
+    return tally
 
 
 def circle_sum(mu) -> dict:

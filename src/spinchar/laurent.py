@@ -248,7 +248,7 @@ class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients.
 
     ``rank`` is the number of z-variables; rank 0 polynomials involve only
-    t and q and embed into any positive rank via :meth:`embed`.
+    t and q.
     """
 
     __slots__ = ("terms", "rank")
@@ -352,19 +352,6 @@ class LaurentPoly:
 
     def __len__(self):
         return len(self.terms)
-
-    # -- structure ---------------------------------------------------------
-
-    def embed(self, rank: int) -> "LaurentPoly":
-        """Lift a polynomial into a larger rank with zero new z-exponents."""
-        if rank == self.rank:
-            return self
-        if rank < self.rank:
-            raise RankMismatchError("cannot shrink rank")
-        r, pad = self.rank, (0,) * (rank - self.rank)
-        return LaurentPoly._make(
-            {m[:r] + pad + m[r:]: c for m, c in self.terms.items()}, rank
-        )
 
     # -- division ----------------------------------------------------------
 

@@ -664,25 +664,12 @@ def component_decomposition(kvec, mu):
     for lo, hi in runs:
         a = 0 if lo == 1 else abs(kvec[lo - 2] - kvec[lo - 1])
         b = 0 if hi == r else abs(kvec[hi - 1] - kvec[hi])
-        vals = kvec[lo - 1 : hi]
-        m = hi - lo + 1
-        if m >= 2:
-            adj = list(mu[lo - 1 : hi])
-            if lo > 1 and kvec[lo - 2] < kvec[lo - 1]:
-                adj[0] -= a
-            if hi < r and kvec[hi - 1] > kvec[hi]:
-                adj[-1] -= b
-        elif hi < r:  # singleton, not the last component
-            adj = [mu[lo - 1]]
-            if kvec[hi - 1] > kvec[hi]:
-                adj[0] -= b
-            if lo > 1 and kvec[lo - 2] < kvec[lo - 1]:
-                adj[0] -= a
-        else:  # singleton final component
-            adj = [mu[r - 1]]
-            if lo > 1 and kvec[lo - 2] < kvec[lo - 1]:
-                adj[0] -= 2 * a
-        comps.append(Component(lo, hi, a, b, vals, tuple(adj)))
+        adj = list(mu[lo - 1 : hi])
+        if lo > 1 and kvec[lo - 2] < kvec[lo - 1]:  # a rise from the left
+            adj[0] -= 2 * a if lo == r else a  # doubled on the final singleton
+        if hi < r and kvec[hi - 1] > kvec[hi]:  # a fall to the right
+            adj[-1] -= b
+        comps.append(Component(lo, hi, a, b, kvec[lo - 1 : hi], tuple(adj)))
     h = len(comps)
     xi = []
     if h:

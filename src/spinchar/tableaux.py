@@ -31,7 +31,7 @@ cells holding m' and m lie between the shifted shapes <= m-1, <= m' and
 strip of m is the pattern slice (a_{r-m}, b_{r-m+1}, a_{r-m+1}).  In one
 row the cells of one symbol form a single run, and runs of adjacent rows
 are connected exactly when their columns overlap, so components are
-counted from runs.  score_strip (cached) gives a symbol's share, both
+counted from runs.  score_strip gives a symbol's share, both
 circle conditions for it included; symbol_strips scores the slices of a
 tableau's count rows, and corollary_rhs sums over chains of shapes with
 gtpatterns.slice_walk, scoring the same slices once each (_strip_key) and
@@ -233,7 +233,6 @@ def _run_components(runs) -> int:
     return n
 
 
-@lru_cache(maxsize=1 << 16)
 def score_strip(hi: tuple, mid: tuple, lo: tuple) -> Strip:
     """Symbol m's strip between the shapes <= m-1, <= m' and <= m.
 
@@ -273,10 +272,17 @@ def score_strip(hi: tuple, mid: tuple, lo: tuple) -> Strip:
     )
 
 
+@lru_cache(maxsize=1 << 16)
+def _strip(hi: tuple, mid: tuple, lo: tuple) -> Strip:
+    """A shared strip: the tableaux of one top have few distinct strips
+    (618 among the 15,288 tableaux of top (2,2,2)), so each is scored once."""
+    return score_strip(hi, mid, lo)
+
+
 def symbol_strips(s: Tableau) -> tuple:
     """strips[m-1] = score_strip of symbol m, over the slices of s's count rows
     (slice i is the strip of symbol r - i + 1)."""
-    strips = [score_strip(*rows) for rows in slice_rows(*count_rows(s))]
+    strips = [_strip(*rows) for rows in slice_rows(*count_rows(s))]
     return tuple(reversed(strips))
 
 

@@ -20,8 +20,8 @@ denominator identity at t = -1/q (a direct map of the keys): prop3 off
 D(z; -1/q) chi_lambda, gh off the circle-pattern sum tokuyama_rhs(lambda).
 Both are one check, _bridge, which splits a (z, q) polynomial by k through
 the one map _k_of_z / _z_of_k between k and the doubled z-exponent (= minus
-the pattern weight), compares each part with the flat coefficient and
-rebuilds the polynomial from them.
+the pattern weight), compares each part, a polynomial in q, with the flat
+coefficient and rebuilds the polynomial from them.
 """
 
 from __future__ import annotations
@@ -194,10 +194,9 @@ def _bridge(lam: tuple, poly: LaurentPoly) -> CheckResult:
     a0 = top_row(shifted_weight(lam))
     result = CheckResult()
 
-    # The polynomial split by k: each part keeps its (t, q) exponents only.
+    # The polynomial split by k into rank-0 (t, q) parts, where H lives.
     parts = {}
     k_of = {}  # one _k_of_z per distinct z-part
-    zeros = (0,) * r
     strays = []
     for mono, coef in poly.terms.items():
         z = mono[:r]
@@ -207,7 +206,7 @@ def _bridge(lam: tuple, poly: LaurentPoly) -> CheckResult:
         if k is None:
             strays.append(mono)
         else:
-            parts.setdefault(k, {})[zeros + mono[r:]] = coef
+            parts.setdefault(k, {})[mono[r:]] = coef
     for mono in sorted(strays, reverse=True):
         result.mismatches.append(
             {"monomial": str(LaurentPoly._make({mono: 1}, r)),
@@ -216,14 +215,15 @@ def _bridge(lam: tuple, poly: LaurentPoly) -> CheckResult:
 
     recon = {}
     for k in sorted(set(h_support(lam)) | set(parts)):
-        coeff = LaurentPoly._make(parts.get(k, {}), r)
-        hval = h_flat(k, lam).embed(r)
+        coeff = LaurentPoly._make(parts.get(k, {}), 0)
+        hval = h_flat(k, lam)
         result.checked += 1
         if coeff != hval:
             result.mismatches.append(
                 {"k": list(k), "coefficient": str(coeff), "h_flat": str(hval)}
             )
-        recon.update(hval.shift(Monomial(_z_of_k(a0, k), 0, 0)).terms)
+        z = _z_of_k(a0, k)
+        recon.update({z + m: c for m, c in hval.terms.items()})
     if LaurentPoly._make(recon, r) != poly:
         result.mismatches.append({"error": "reconstruction differs from the polynomial"})
     result.checked += 1

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_acceptance import THEOREM1_CASES
 
-from spinchar import cli, gtpatterns, tableaux
+from spinchar import cli, gtpatterns, padic, tableaux, whittaker
 from spinchar.laurent import LaurentPoly
 from spinchar.rootdata import deformed_denominator, lambda_to_evee, rho, weyl_numerator
 
@@ -134,6 +135,49 @@ def test_theorem1_reports_the_difference_of_spoiled_sides(monkeypatch):
     assert code == 1 and report["verdict"] == "fail"
     assert report["mismatches"] == [{"difference": str(lhs - rhs)}]
     assert (report["lhs"], report["rhs"]) == (str(lhs), str(rhs))
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name, spoil, keys",
+    [
+        (["corollary2", "--rank", "2", "--lambda", "1,0"], tableaux, "corollary_rhs",
+         lambda value, lam, r: value + LaurentPoly.one(r), {"difference"}),
+        (["gh", "--lambda", "1,2"], whittaker, "h_flat",
+         lambda value, k, lam: value if any(k) else value + LaurentPoly.one(0),
+         {"k", "coefficient", "h_flat"}),
+        (["prop3", "--lambda", "1,2"], whittaker, "h_flat",
+         lambda value, k, lam: value if any(k) else value + LaurentPoly.one(0),
+         {"k", "coefficient", "h_flat"}),
+        (["prop4", "--mu", "2,2", "--dmax", "1"], padic, "closed_form_G",
+         lambda value, t: None if value is None else value + LaurentPoly.one(0),
+         {"d", "p", "oracle", "closed_form"}),
+        (["prop4", "--mu", "2,2", "--dmax", "1"], padic, "closed_form_G",
+         lambda value, t: None, {"d", "p", "oracle", "error"}),
+        (["prop5", "--mu", "2,2"], padic, "prop5_sides",
+         lambda value, mu, kr: (value[0], value[1] + LaurentPoly.one(0)),
+         {"k_r", "lhs", "rhs"}),
+        (["prop6", "--mu", "1,1", "--kmax", "1"], padic, "prop6_check",
+         lambda value, *args: dataclasses.replace(value, rhs=value.rhs + 1, verdict=False),
+         {"k", "lhs", "rhs"}),
+        (["lemma3", "--mu", "2,1"], padic, "lemma3_closed",
+         lambda value, s, mu: value + LaurentPoly.one(0), {"s", "direct", "closed"}),
+        (["lemma10-equiv", "--mu", "2,2"], gtpatterns, "gt_circle_by_cstat",
+         lambda value, p: not value, {"rows", "cstat", "rows_parity"}),
+    ],
+    ids=["corollary2", "gh", "prop3", "prop4-closed-form", "prop4-no-closed-form",
+         "prop5", "prop6", "lemma3", "lemma10-equiv"],
+)
+def test_each_claim_reports_a_spoiled_side(monkeypatch, argv, owner, name, spoil, keys):
+    # one library function spoiled: the claim exits 1 with verdict fail, and
+    # its first mismatch carries the keys of that claim's failure branch
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: spoil(real(*a, **kw), *a))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", *argv])
+    report = json.loads(out.getvalue())
+    assert code == 1 and report["verdict"] == "fail"
+    assert set(report["mismatches"][0]) == keys
 
 
 def test_enumerate_gt_counts_match_tableaux():
@@ -432,6 +476,31 @@ def test_verify_all_jobs_parse_and_cover_the_acceptance_grid():
             grid[claim].add((cli._parse_ints(args.lam), args.rank))
     for claim, cases in grid.items():
         assert {(tuple(lam), r) for lam, r in THEOREM1_CASES} <= cases, claim
+
+
+def test_verify_all_reads_each_jobs_own_peak_rss():
+    # a child's ru_maxrss never reads below its parent's high-water mark, so
+    # the driver must not hold a report.  The driver's job path runs in a
+    # fresh interpreter (in process, pytest's own peak would be the floor):
+    # a job printing a 60 MB report, then one that does nothing.
+    path = Path(__file__).resolve().parents[1] / "scripts" / "verify_all.py"
+    big = ("import sys; sys.stdout.write("
+           "'{\"text\": \"' + 'x' * 60_000_000 + '\", \"verdict\": \"pass\"}')")
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('verify_all', {str(path)!r})\n"
+        "script = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(script)\n"
+        f"result, _, _, big_rss = script.run([sys.executable, '-c', {big!r}])\n"
+        "_, _, _, rss = script.run([sys.executable, '-c', 'pass'])\n"
+        "print(result, big_rss, rss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result, big_rss, rss = proc.stdout.split()
+    assert result == "pass" and float(big_rss) > 60
+    assert float(rss) < 40
 
 
 def test_benchmark_tracer_finds_every_traced_function():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from spinchar.gtpatterns import (
     gt_circle_by_row_parity,
     in_gt_circle,
     mu_of_top_row,
+    slice_walk,
     tokuyama_rhs,
     top_row,
 )
@@ -145,6 +147,22 @@ def test_circle_sum_matches_enumeration(lam):
             terms[key] = terms.get(key, 0) + c
     assert circle_sum(top) == {key: c for key, c in tally.items() if c}
     assert tokuyama_rhs(lam) == LaurentPoly(terms, len(lam))
+
+
+def test_slice_walk_frees_its_memo_on_return():
+    # the walk's memoized recursion refers to itself; left as a cycle, its
+    # memo of every a-row's tally outlived the walk until a gc pass
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        circle_sum(upsilon((2, 2, 2)))
+        slice_walk(top_row(upsilon((2, 2, 2))), _strip_key)
+        gc.collect()
+        tallies = [o for o in gc.garbage if isinstance(o, dict)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not tallies
 
 
 _ROW_PARITY = ShortGTPattern.in_circle_by_row_parity
@@ -278,14 +296,19 @@ def test_tokuyama_rank2_spot():
 
 def test_g_weight_is_multiplicative_over_slices():
     # a pattern weighs the product of its slices' weights, and the slices
-    # below the top one are the slices of the pattern below it
+    # below the top one are the slices of the pattern below it; each weight
+    # is a polynomial in t alone, compared by its (t, q) part
+    def tq(poly):
+        assert not any(any(m[: poly.rank]) for m in poly.terms)
+        return LaurentPoly({m[poly.rank:]: c for m, c in poly.terms.items()}, 0)
+
     for mu in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (2, 1, 2)]:
         for p in enumerate_circle(upsilon(mu)):
             r = p.rank
-            product = LaurentPoly.one(r)
+            product = LaurentPoly.one(0)
             for s in p.slices:
-                product = product * g_weight(s).embed(r)
-            assert g_weight(p) == product
+                product = product * tq(g_weight(s))
+            assert tq(g_weight(p)) == product
             tail = GTPattern(r - 1, p.arows[1:], p.brows[1:])
             tail.validate()
             assert tail.slices == p.slices[1:]

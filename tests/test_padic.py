@@ -423,6 +423,17 @@ def test_prop6_constant_k_reduces_to_resonant():
             assert abs(complex(rhs.evaluate({"q": 3})) - complex(res.rhs)) < 1e-12
 
 
+def test_prop6_is_exact_on_the_criterion_8_grid():
+    # criterion 8 compares within 1e-6; the sides are exact rationals, so
+    # on its grid they must be equal
+    for r in (2, 3):
+        for p in (3, 5):
+            for mu in itertools.product((1, 2), repeat=r):
+                for k in itertools.product(range(5), repeat=r):
+                    res = prop6_check(mu, k, p)
+                    assert res.lhs == res.rhs, (mu, k, p)
+
+
 def test_component_decomposition():
     comps, xi = component_decomposition((5, 5, 2), (3, 3, 3))
     assert len(comps) == 2

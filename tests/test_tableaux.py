@@ -310,7 +310,7 @@ def test_strip_transfer_uses_no_pattern_statistics(monkeypatch):
 
     monkeypatch.setattr(gtpatterns, "ShortGTPattern", refuse)
     monkeypatch.setattr(gtpatterns, "_slice", refuse)
-    tableaux.score_strip.cache_clear()
+    tableaux._strip.cache_clear()
     for lam, poly in expected.items():
         assert corollary_rhs(lam, 3) == poly
 
