@@ -69,7 +69,7 @@ JOBS += [
     *((claim, lambda_args(lam)) for lam in RANK4_GRID for claim in ("corollary2", "gh")),
     *(("theorem1", lambda_args(lam)) for lam in THEOREM1_RANK4),
     ("prop4", ["--rank", "2", "--mu", "2,2", "--p", "3", "--dmax", "3"]),
-    *(("prop4", ["--rank", "3", "--mu", "2,1,2", "--p", p, "--dmax", "2",
+    *(("prop4", ["--rank", "3", "--mu", "2,1,2", "--p", p, "--dmax", "3",
                  "--budget", "300000"]) for p in ("2", "3", "5")),
     ("prop5", ["--mu", "2,2"]),
     ("prop5", ["--mu", "2,1,1"]),

@@ -324,23 +324,26 @@ def _interleavings(upper, length, last_floor=0):
     if not length:  # below a one-entry row; saves a generator per leaf
         yield ()
         return
+    yield from _fill_slots(upper, length, last_floor, 0, [])
 
-    def rec(k, prefix):
-        if k == length:
-            yield tuple(prefix)
-            return
-        ub = upper[k]
-        if prefix:
-            ub = min(ub, prefix[-1] - 1)
-        lb = upper[k + 1] if k + 1 < len(upper) else 0
-        if k == length - 1:
-            lb = max(lb, last_floor)
-        for v in range(ub, lb - 1, -1):
-            prefix.append(v)
-            yield from rec(k + 1, prefix)
-            prefix.pop()
 
-    yield from rec(0, [])
+def _fill_slots(upper, length, last_floor, k, prefix):
+    """The rows of _interleavings(upper, length, last_floor) that extend
+    prefix, its slots 0..k-1 filled; descending lex order.  A module-level
+    recursion, so no call leaves a closure cycle for the gc."""
+    if k == length:
+        yield tuple(prefix)
+        return
+    ub = upper[k]
+    if prefix:
+        ub = min(ub, prefix[-1] - 1)
+    lb = upper[k + 1] if k + 1 < len(upper) else 0
+    if k == length - 1:
+        lb = max(lb, last_floor)
+    for v in range(ub, lb - 1, -1):
+        prefix.append(v)
+        yield from _fill_slots(upper, length, last_floor, k + 1, prefix)
+        prefix.pop()
 
 
 def _is_slice(a0, b, a1) -> bool:
@@ -373,18 +376,18 @@ def enumerate_strict(mu):
     when the top row itself is not strictly decreasing.
     """
     top = top_row(mu)
-    r = len(top)
-    if not _strictly_decreasing(top):
-        return
+    if _strictly_decreasing(top):
+        yield from _patterns_below(len(top), (top,), ())
 
-    def rec(arows, brows):
-        for b, a1 in _slices_below(arows[-1]):
-            if a1:
-                yield from rec(arows + (a1,), brows + (b,))
-            else:
-                yield GTPattern(r, arows, brows + (b,))
 
-    yield from rec((top,), ())
+def _patterns_below(r, arows, brows):
+    """The rank-r patterns whose first rows are arows and brows, in
+    enumerate_strict's order; a module-level recursion (no closure cycle)."""
+    for b, a1 in _slices_below(arows[-1]):
+        if a1:
+            yield from _patterns_below(r, arows + (a1,), brows + (b,))
+        else:
+            yield GTPattern(r, arows, brows + (b,))
 
 
 # -- the circle subset ------------------------------------------------------

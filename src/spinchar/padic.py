@@ -7,7 +7,10 @@ provides
 * a brute-force oracle for the normalized character sum G(t), evaluated
   exactly: one table of the summand's terms gives the residue periods and
   an integer phase grid, reduced mod p^cap once; the counts of its phases
-  are reduced by the cyclotomic relation to a rational number;
+  are reduced by the cyclotomic relation to a rational number.  The grid
+  spans only the residue axes read by the terms that do not vanish mod
+  p^cap, and its count is scaled by the sizes of the unread axes; the
+  budget still counts every residue tuple;
 * the decorated accumulation arrays of flavors B and C with their gamma and
   gamma-tilde weights, and the closed-form evaluation of G(t);
 * the totally resonant Omega machinery and the summation identities tying
@@ -254,16 +257,22 @@ def k_vector_B(t: ShortPatternB) -> tuple:
 # -- brute-force oracle -------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def _inverse_table(p: int, f: int, dexp: int, shift: int = 0):
-    """Arrays (c, u): c over Z/p^f, units only when dexp > 0, and u the
-    inverse of c mod p^dexp plus shift * p^dexp (all 0 when dexp = 0)."""
+    """Read-only arrays (c, u): c over Z/p^f, units only when dexp > 0, and
+    u the inverse of c mod p^dexp plus shift * p^dexp (all 0 when dexp = 0).
+    Memoized: a sweep at one prime asks for the same few (f, dexp) pairs
+    again and again."""
     c = np.arange(p**f, dtype=np.int64)
     if dexp == 0:
-        return c, np.zeros_like(c)
-    c = c[c % p != 0]
-    pd = p**dexp
-    u = [pow(int(x), -1, pd) + shift * pd for x in c]
-    return c, np.array(u, dtype=np.int64)
+        u = np.zeros_like(c)
+    else:
+        c = c[c % p != 0]
+        pd = p**dexp
+        u = np.array([pow(int(x), -1, pd) + shift * pd for x in c], dtype=np.int64)
+    c.setflags(write=False)
+    u.setflags(write=False)
+    return c, u
 
 
 def brute_force_G(
@@ -282,9 +291,13 @@ def brute_force_G(
     c_j appears.  The weight prod p^{L_j - f_j} then cancels against the
     normalization, leaving p^(-sum f_j) times the reduced sum, a sum of
     p^cap-th roots of unity.  Its integer phases are added term by term on
-    an int64 grid over the residue tuples and reduced mod p^cap once (each
-    term is below p^cap <= 2^31), and _cyclotomic_sum evaluates the sum
-    exactly from them.
+    an int64 grid and reduced mod p^cap once (each term is below
+    p^cap <= 2^31), and _cyclotomic_sum evaluates the sum exactly from them.
+    A term that is 0 mod p^cap on every residue (u_o^b c_j when d_o = 0,
+    say) is left out, and the grid spans only the residue axes the
+    remaining terms read: the phase does not depend on the others, so the
+    count is scaled by the product of their sizes.  budget still counts
+    every residue tuple, the unread axes included.
 
     u_shift replaces each u_j by u_j + u_shift * p^{d_j} (representative
     independence testing).
@@ -337,11 +350,10 @@ def brute_force_G(
         u.append(uj % big)
     sizes = [len(cj) for cj in c[1:]]
 
-    # Phase grid over all residue tuples.  Each factor is reduced below
-    # p^cap <= 2^31 before the next product, so products fit in int64, and
-    # the grid adds at most 2r terms, each below p^cap, before the single
-    # reduction at the end.
-    phase = np.zeros(sizes, dtype=np.int64)
+    # The terms that are not 0 mod p^cap on every residue, each shaped for
+    # the axes it reads.  Each factor is reduced below p^cap <= 2^31 before
+    # the next product, so products fit in int64.
+    parts = []
     for j, o, a, k, b, pe, de in terms:
         coef = k * p ** (pe + cap - de) % big
         if coef == 0:
@@ -352,10 +364,21 @@ def brute_force_G(
         if o is not None:  # axes (o, j) are already in grid order
             val = (u[o] ** b % big)[:, None] * val % big
             shape[o - 1] = sizes[o - 1]
-        phase += val.reshape(shape)
+        if val.any():
+            parts.append(val.reshape(shape))
+
+    # Phase grid over the axes those terms read; an axis no term reads keeps
+    # length 1, so each cell stands for total_terms // phase.size residue
+    # tuples.  The grid adds at most 2r terms, each below p^cap, before the
+    # single reduction.
+    grid = np.broadcast_shapes((1,) * n, *(v.shape for v in parts))
+    phase = np.zeros(grid, dtype=np.int64)
+    for val in parts:
+        phase += val
     phase %= big
 
-    return Fraction(_cyclotomic_sum(phase.ravel(), p, cap), p ** sum(f[1:]))
+    count = _cyclotomic_sum(phase.ravel(), p, cap) * (total_terms // phase.size)
+    return Fraction(count, p ** sum(f[1:]))
 
 
 def _cyclotomic_sum(phase, p: int, cap: int) -> int:

@@ -24,7 +24,7 @@ from spinchar.gtpatterns import (
     top_row,
 )
 from spinchar.laurent import LaurentPoly, Monomial, prod
-from spinchar.tableaux import _strip_key
+from spinchar.tableaux import _strip_key, corollary_rhs
 from spinchar.rootdata import (
     deformed_denominator,
     lambda_to_evee,
@@ -163,6 +163,24 @@ def test_slice_walk_frees_its_memo_on_return():
         gc.set_debug(0)
         gc.garbage.clear()
     assert not tallies
+
+
+def test_pattern_recursions_leave_no_cycles():
+    # the row and pattern recursions under both sums and the enumeration
+    # are module-level functions; as closures that named themselves, every
+    # call left a function-and-cell cycle for the gc
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        corollary_rhs((0, 0, 0), 3)
+        tokuyama_rhs((0, 0, 0), 3)
+        list(enumerate_strict((1, 1, 1)))
+        gc.collect()
+        garbage = Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not garbage
 
 
 _ROW_PARITY = ShortGTPattern.in_circle_by_row_parity

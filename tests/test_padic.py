@@ -7,12 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spinchar import padic
 from spinchar.laurent import LaurentPoly
 from spinchar.padic import (
     BudgetExceededError,
     ShortPatternB,
     _cyclotomic_sum,
     _gamma_product,
+    _inverse_table,
     _rows_C,
     brute_force_G,
     closed_form_G,
@@ -119,14 +121,10 @@ def test_closed_form_cases():
 
 
 def test_brute_force_examples():
-    assert abs(brute_force_G(ShortPatternB((1, 1), (0, 0, 0)), 3) - 1) < 1e-12
-    assert (
-        abs(brute_force_G(ShortPatternB((2, 2), (1, 1, 0)), 3) - Fraction(4, 9))
-        < 1e-9
-    )
+    assert brute_force_G(ShortPatternB((1, 1), (0, 0, 0)), 3) == 1
+    assert brute_force_G(ShortPatternB((2, 2), (1, 1, 0)), 3) == Fraction(4, 9)
     for mu1 in (1, 2, 3):
-        val = brute_force_G(ShortPatternB((mu1, 1), (0, 2, 0)), 3)
-        assert abs(val - Fraction(2, 9)) < 1e-9
+        assert brute_force_G(ShortPatternB((mu1, 1), (0, 2, 0)), 3) == Fraction(2, 9)
     # rank-one raw Ramanujan-style sanity through the same phase machinery
     with pytest.raises(ValueError):
         brute_force_G(ShortPatternB((2,), (1,)), 3)
@@ -138,8 +136,44 @@ def test_budget_is_loud():
         brute_force_G(t, 5, budget=10)
 
 
+def test_budget_counts_every_residue_tuple(monkeypatch):
+    # the phase grid spans only the axes its nonzero terms read, but the
+    # budget counts every residue tuple: at (1, 1, 1) all 64 tuples share
+    # one phase (every term vanishes mod p^cap), at (2, 1, 2) 1,600 tuples
+    # fill a grid of 20 phases
+    phases = []
+    count = padic._cyclotomic_sum
+    monkeypatch.setattr(
+        padic,
+        "_cyclotomic_sum",
+        lambda phase, p, cap: phases.append(phase.size) or count(phase, p, cap),
+    )
+    for d, tuples, grid, want in [
+        ((1, 1, 1), 64, 1, Fraction(64, 125)),
+        ((2, 1, 2), 1600, 20, Fraction(-16, 125)),
+    ]:
+        t = ShortPatternB((2, 2), d)
+        with pytest.raises(BudgetExceededError):
+            brute_force_G(t, 5, budget=tuples - 1)
+        phases.clear()
+        assert brute_force_G(t, 5, budget=tuples) == want
+        assert want == closed_form_G(t).evaluate({"q": 5})
+        assert phases == [grid]
+
+
+def test_inverse_table_is_cached_read_only():
+    c, u = _inverse_table(5, 2, 1, 1)
+    assert list(c) == [x for x in range(25) if x % 5]
+    assert ((u - 5) * c % 5 == 1).all() and (u // 5 == 1).all()
+    for arr in (c, u):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert 0 < _inverse_table.cache_info().maxsize < 1 << 16
+    again = _inverse_table(5, 2, 1, 1)
+    assert again[0] is c and again[1] is u
+
+
 def test_oracle_agreement_small():
-    worst = 0.0
     checked = 0
     for mu in itertools.product((1, 2), repeat=2):
         for d in itertools.product(range(3), repeat=3):
@@ -150,12 +184,11 @@ def test_oracle_agreement_small():
             for p in (2, 3):
                 bf = brute_force_G(t, p, budget=200_000)
                 if cf is None:
-                    assert abs(bf) < 1e-9  # tested zero hypothesis
+                    assert bf == 0  # tested zero hypothesis
                     continue
-                err = abs(bf - complex(cf.evaluate({"q": Fraction(p)})))
-                worst = max(worst, err)
+                assert bf == cf.evaluate({"q": p}), (mu, d, p)
                 checked += 1
-    assert checked > 50 and worst < 1e-9
+    assert checked > 50
 
 
 def test_oracle_is_exact():
@@ -211,7 +244,7 @@ def test_representative_independence():
     t = ShortPatternB((2, 2), (1, 1, 1))
     base = brute_force_G(t, 3)
     for w in (1, 2):
-        assert abs(brute_force_G(t, 3, u_shift=w) - base) <= 1e-9
+        assert brute_force_G(t, 3, u_shift=w) == base
 
 
 def test_delta_c_from_short_pattern():
