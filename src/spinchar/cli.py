@@ -93,12 +93,11 @@ def _at_least(value, flag: str, least: int = 0):
 
 def _verify_theorem1(args) -> Report:
     lam, r = _dominant_lambda(args, "theorem1")
-    mu = tuple(l + 1 for l in lam)
     rep = Report("theorem1", {"rank": r, "lambda": list(lam)})
     # One side at a time is held as a polynomial and kept as its text: str
     # is canonical, so the texts agree exactly when the sides do.
     side = rootdata.deformed_denominator(r) * rootdata.weyl_numerator(
-        rootdata.lambda_to_evee(mu), r
+        rootdata.top_row(rootdata.shifted_weight(lam)), r
     )
     rep.lhs, lhs_terms = str(side), len(side)
     del side

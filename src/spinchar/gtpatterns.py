@@ -47,36 +47,21 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, count
+from itertools import count
 from math import comb
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, Monomial, mul_terms
-from .rootdata import dominant, shifted_weight
+from .rootdata import dominant, shifted_weight, strictly_decreasing, top_row
 
 MAXIMAL = "maximal"
 MINIMAL = "minimal"
 GENERIC = "generic"
 
 
-def top_row(mu) -> tuple:
-    """Partial sums from the right: (mu_1+...+mu_r, mu_2+...+mu_r, ..., mu_r)."""
-    return tuple(accumulate(reversed(tuple(mu))))[::-1]
-
-
-def _strictly_decreasing(row) -> bool:
-    """Whether every entry of the row exceeds the next."""
-    return all(row[k] > row[k + 1] for k in range(len(row) - 1))
-
-
 def slice_rows(arows, brows):
     """The slices (a_{i-1}, b_i, a_i), i = 1..r, of a pattern's rows; a_r = ()."""
     return zip(arows, brows, (*arows[1:], ()))
-
-
-def mu_of_top_row(row) -> tuple:
-    """Inverse of top_row."""
-    return tuple(x - y for x, y in zip(row, (*row[1:], 0)))
 
 
 @dataclass(frozen=True)
@@ -94,7 +79,7 @@ class GTPattern:
         decreasing top row of length r, and every slice one of _slices_below."""
         r, arows, brows = self.rank, self.arows, self.brows
         if not (r >= 1 and len(arows) == len(brows) == r == len(arows[0])
-                and _strictly_decreasing(arows[0])):
+                and strictly_decreasing(arows[0])):
             raise ValueError(f"no rank-{r} pattern has the rows {arows}, {brows}")
         for rows in slice_rows(arows, brows):
             if not _is_slice(*rows):
@@ -350,7 +335,7 @@ def _is_slice(a0, b, a1) -> bool:
     """Whether (b, a1) is one of _slices_below(a0)."""
     return (
         len(b) == len(a0) == len(a1) + 1
-        and _strictly_decreasing(b) and _strictly_decreasing(a1)
+        and strictly_decreasing(b) and strictly_decreasing(a1)
         and all(hi >= v >= lo for hi, v, lo in zip(a0, b, (*a0[1:], 0)))
         and all(hi >= v >= lo for hi, v, lo in zip(b, a1, b[1:]))
         and (not a1 or a1[-1] >= 1)
@@ -376,7 +361,7 @@ def enumerate_strict(mu):
     when the top row itself is not strictly decreasing.
     """
     top = top_row(mu)
-    if _strictly_decreasing(top):
+    if strictly_decreasing(top):
         yield from _patterns_below(len(top), (top,), ())
 
 
@@ -451,7 +436,7 @@ def slice_walk(top, score) -> dict:
     top row is not strictly decreasing.
     """
     top = tuple(top)
-    if not _strictly_decreasing(top):
+    if not strictly_decreasing(top):
         return {}
     r = len(top)
     memo = {(): {(0,) * (r + 2): 1}}

@@ -344,9 +344,6 @@ class LaurentPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -55,9 +55,9 @@ from operator import add, eq, ge, gt, le, lt
 
 import numpy as np
 
-from .gtpatterns import c_stats, top_row
+from .gtpatterns import c_stats
 from .laurent import LaurentPoly, Monomial
-from .rootdata import upsilon
+from .rootdata import top_row, upsilon
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -194,9 +194,8 @@ def _flags_B(t: ShortPatternB, bounds: list) -> list:
 
 def decorate_B(t: ShortPatternB) -> DecoratedArray:
     """Accumulated sums c_i = d_i + ... + d_{2r-1} with the flavor-B flags."""
-    entries = tuple(itertools.accumulate(reversed(t.d)))[::-1]
     boxed, circled = zip(*_flags_B(t, _bounds_B(t)))
-    return DecoratedArray(entries, boxed, circled)
+    return DecoratedArray(top_row(t.d), boxed, circled)
 
 
 def _gamma_product(flags) -> LaurentPoly:

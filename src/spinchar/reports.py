@@ -8,7 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -26,13 +26,4 @@ class Report:
         return "pass" if not self.mismatches else "fail"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "claim": self.claim,
-            "params": self.params,
-            "verdict": self.verdict,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "mismatches": self.mismatches,
-            "counts": self.counts,
-            "runtime_ms": self.runtime_ms,
-        }, sort_keys=True)
+        return json.dumps({**asdict(self), "verdict": self.verdict}, sort_keys=True)

@@ -8,7 +8,10 @@ computed by exact division of alternating Weyl-group sums, which keeps it
 fully independent of the pattern machinery it is later checked against.
 An element of W(B_r) is a permutation with a sign vector, and
 weyl_numerator loops over both, with sign (-1)^inversions * prod(signs);
-the deformed denominator multiplies one two-term factor per positive root.
+the deformed denominator multiplies one two-term factor per positive root
+(_positive_roots, also read by the dimension formula).  The top row of
+lam + rho is top_row(shifted_weight(lam)), and strictly_decreasing is the
+one strict-dominance test, of weights, top rows and tableau shapes alike.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from .laurent import LaurentPoly, Monomial, prod
 
@@ -29,11 +32,9 @@ def lambda_to_evee(lam, r: int = None) -> tuple:
     eps_r = (1/2) sum of all e_j-vee.
     """
     lam = tuple(lam)
-    if r is None:
-        r = len(lam)
-    if len(lam) != r:
+    if r is not None and len(lam) != r:
         raise ValueError("length of lambda must equal the rank")
-    return tuple(2 * sum(lam[j : r - 1]) + lam[r - 1] for j in range(r))
+    return top_row(upsilon(lam))
 
 
 def rho(r: int) -> tuple:
@@ -47,12 +48,27 @@ def rho(r: int) -> tuple:
 def upsilon(mu) -> tuple:
     """Doubling map (mu_1, ..., mu_r) -> (2 mu_1, ..., 2 mu_{r-1}, mu_r)."""
     mu = tuple(mu)
-    return tuple(2 * m for m in mu[:-1]) + (mu[-1],)
+    return tuple(2 * m for m in mu[:-1]) + mu[-1:]
 
 
 def shifted_weight(lam) -> tuple:
     """The doubled shifted weight v(lam + rho) = upsilon(lam + 1)."""
     return upsilon(l + 1 for l in lam)
+
+
+def top_row(mu) -> tuple:
+    """Partial sums from the right: (mu_1+...+mu_r, mu_2+...+mu_r, ..., mu_r)."""
+    return tuple(itertools.accumulate(reversed(tuple(mu))))[::-1]
+
+
+def mu_of_top_row(row) -> tuple:
+    """Inverse of top_row."""
+    return tuple(x - y for x, y in zip(row, (*row[1:], 0)))
+
+
+def strictly_decreasing(row) -> bool:
+    """Whether every entry of the row exceeds the next."""
+    return all(row[k] > row[k + 1] for k in range(len(row) - 1))
 
 
 def upsilon_inverse(mu) -> tuple:
@@ -62,18 +78,23 @@ def upsilon_inverse(mu) -> tuple:
     return tuple(m // 2 for m in mu[:-1]) + (mu[-1],)
 
 
+def _positive_roots(r: int) -> list:
+    """The positive roots e_i, e_i - e_j, e_i + e_j (i < j) of B_r, doubled."""
+    e = [[2 * (k == i) for k in range(r)] for i in range(r)]
+    return e + [list(map(op, e[i], e[j]))
+                for i, j in itertools.combinations(range(r), 2) for op in (sub, add)]
+
+
 def deformed_denominator(r: int) -> LaurentPoly:
     """The type-B deformed Weyl denominator D(z; t).
 
-    z^(-rho) times the product of (1 + t z^alpha) over the positive roots
-    e_i, e_i - e_j, e_i + e_j (i < j), fully expanded.
+    z^(-rho) times the product of (1 + t z^alpha) over the positive roots,
+    fully expanded.
     """
     z_minus_rho = Monomial([-x for x in rho(r)])
-    e = [[2 * (k == i) for k in range(r)] for i in range(r)]  # e_i, doubled
-    roots = e + [list(map(op, e[i], e[j]))
-                 for i, j in itertools.combinations(range(r), 2) for op in (sub, add)]
     one = Monomial((0,) * r)
-    factors = (LaurentPoly({one: 1, Monomial(alpha, 1): 1}, r) for alpha in roots)
+    factors = (LaurentPoly({one: 1, Monomial(alpha, 1): 1}, r)
+               for alpha in _positive_roots(r))
     return prod(factors, r).shift(z_minus_rho)
 
 
@@ -89,7 +110,9 @@ def weyl_numerator(nu: tuple, r: int = None) -> LaurentPoly:
         r = len(coords)
     if len(coords) != r:
         raise ValueError("rank mismatch")
-    if any(coords[i] <= coords[i + 1] for i in range(r - 1)) or coords[-1] <= 0:
+    if r < 1:
+        raise ValueError("rank must be >= 1")
+    if not strictly_decreasing((*coords, 0)):
         raise ValueError(f"doubled coordinates {coords} are not strictly dominant")
     terms = {}
     for perm in itertools.permutations(range(r)):
@@ -109,6 +132,8 @@ def dominant(lam, r: int = None) -> tuple:
     lam = tuple(lam)
     if r is not None and len(lam) != r:
         raise ValueError("length of lambda must equal the rank")
+    if not lam:
+        raise ValueError("rank must be >= 1")
     if any(l < 0 for l in lam):
         raise ValueError("lambda must be dominant (nonnegative coordinates)")
     return lam
@@ -122,7 +147,7 @@ def character(lam, r: int = None) -> LaurentPoly:
     """
     lam = dominant(lam, r)
     r = len(lam)
-    nu = lambda_to_evee([l + 1 for l in lam], r)
+    nu = top_row(shifted_weight(lam))
     return weyl_numerator(nu, r).div_exact(weyl_numerator(rho(r), r))
 
 
@@ -132,16 +157,10 @@ def weyl_dimension(lam, r: int = None) -> int:
     Independent oracle for character(lam) evaluated at z = (1, ..., 1):
     product over positive roots of <lam+rho, alpha> / <rho, alpha>.
     """
-    lam = tuple(lam)
-    if r is None:
-        r = len(lam)
-    nu = lambda_to_evee([l + 1 for l in lam], r)
-    rh = rho(r)
-    value = Fraction(1)
-    for i in range(r):
-        value *= Fraction(nu[i], rh[i])
-        for j in range(i + 1, r):
-            value *= Fraction(nu[i] ** 2 - nu[j] ** 2, rh[i] ** 2 - rh[j] ** 2)
+    lam = dominant(lam, r)
+    nu, rh = top_row(shifted_weight(lam)), rho(len(lam))
+    value = math.prod(Fraction(sum(map(mul, nu, alpha)), sum(map(mul, rh, alpha)))
+                      for alpha in _positive_roots(len(lam)))
     if value.denominator != 1:
         raise AssertionError(f"non-integral dimension {value}")
     return int(value)

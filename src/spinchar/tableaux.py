@@ -53,11 +53,10 @@ from itertools import count
 from typing import NamedTuple, Optional
 
 from .gtpatterns import (
-    GTPattern, enumerate_strict, expand_tally, json_template, slice_rows, slice_walk,
-    slot, top_row,
+    GTPattern, enumerate_strict, expand_tally, json_template, slice_rows, slice_walk, slot,
 )
 from .laurent import LaurentPoly
-from .rootdata import dominant, shifted_weight
+from .rootdata import dominant, shifted_weight, strictly_decreasing, top_row
 
 
 def barred(m: int) -> int:
@@ -95,7 +94,7 @@ class Tableau:
         """Raise ValueError unless the filling is a symplectic shifted tableau."""
         # The shape, padded with zeros to length r, is the pattern's top row.
         shape = self.shape + (0,) * (self.rank - len(self.rows))
-        if any(shape[k] <= shape[k + 1] for k in range(len(shape) - 1)):
+        if not strictly_decreasing(shape):
             raise ValueError("row lengths, padded to the rank, must strictly decrease")
         for li, row in enumerate(self.rows):
             # diagonal condition: row L starts with L' or L

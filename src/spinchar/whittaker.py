@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .gtpatterns import tokuyama_rhs, top_row
+from .gtpatterns import tokuyama_rhs
 from .laurent import LaurentPoly, Monomial
 from .padic import cqc_layer_sums
-from .rootdata import character, deformed_denominator, shifted_weight
+from .rootdata import character, deformed_denominator, dominant, shifted_weight, top_row
 
 _Q0 = LaurentPoly.zero(0)
 
@@ -66,7 +66,8 @@ def _nu_shift(lam: tuple, kp: tuple) -> tuple:
 
 
 def _mu_second(lam: tuple, kp: tuple) -> tuple:
-    """The doubled top row of the next layer, straight from its own formula."""
+    """The doubled top parameter v(nu + rho) of the next layer, nu =
+    _nu_shift(lam, kp), straight from its own formula."""
     r = len(lam)
     mu = tuple(l + 1 for l in lam)
     out = []
@@ -123,11 +124,12 @@ def h_table(lam: tuple) -> dict:
 
 def h_coeff(k: tuple, lam: tuple) -> LaurentPoly:
     """H at prime powers, as an exact polynomial in q (rank-0 Laurent poly)."""
+    lam = dominant(lam)
     if len(lam) != len(k):
         raise ValueError("k and lambda must have equal length")
-    if any(x < 0 for x in k) or any(x < 0 for x in lam):
+    if any(x < 0 for x in k):
         raise ValueError("indices must be nonnegative")
-    return h_table(tuple(lam)).get(tuple(k), _Q0)
+    return h_table(lam).get(tuple(k), _Q0)
 
 
 def h_flat(k: tuple, lam: tuple) -> LaurentPoly:
@@ -137,7 +139,7 @@ def h_flat(k: tuple, lam: tuple) -> LaurentPoly:
 
 def h_support(lam: tuple) -> frozenset:
     """Superset of the k-support of H(p^k; p^lam): the keys of its table."""
-    return frozenset(h_table(tuple(lam)))
+    return frozenset(h_table(dominant(lam)))
 
 
 def _k_of_z(a0: tuple, z: tuple):

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -533,6 +534,34 @@ def test_readme_cli_examples_parse():
     parser = cli.build_parser()
     for argv in calls:
         parser.parse_args(argv)
+
+
+def test_readme_flag_table_matches_the_cli_tables():
+    # each row of the README's `| command | flags |` table names commands and
+    # the backticked flags they take; together the rows must list exactly the
+    # flags of every verify claim (with --timing), enumeration kind and coeff
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | flags |", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        if not line.startswith("| ") or line.startswith("| ---"):
+            continue
+        _, commands, flags, _ = line.split("|")
+        if commands.strip() == "every `verify` claim":
+            keys = [("verify", claim) for claim in cli._VERIFIERS]
+        else:
+            first, *rest = re.findall(r"`([^`]+)`", commands)
+            command, *names = first.split()
+            keys = [(command, name) for name in names + rest] or [(command, None)]
+        for key in keys:
+            documented.setdefault(key, set()).update(
+                flag.split()[0][2:] for flag in re.findall(r"`(--[^`]+)`", flags))
+    expected = {("verify", claim): {*flags, "timing"}
+                for claim, (_, flags) in cli._VERIFIERS.items()}
+    expected.update({("enumerate", kind): set(flags)
+                     for kind, (_, flags) in cli._ENUMERATORS.items()})
+    expected[("coeff", None)] = {"rank", "lambda", "fix"}
+    assert documented == expected
 
 
 # -- the CLI contract, swept over calls drawn from the command tables ---------

@@ -18,7 +18,6 @@ from spinchar.gtpatterns import (
     gt_circle_by_cstat,
     gt_circle_by_row_parity,
     in_gt_circle,
-    mu_of_top_row,
     slice_walk,
     tokuyama_rhs,
     top_row,
@@ -28,6 +27,7 @@ from spinchar.tableaux import _strip_key, corollary_rhs
 from spinchar.rootdata import (
     deformed_denominator,
     lambda_to_evee,
+    mu_of_top_row,
     rho,
     upsilon,
     weyl_numerator,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinchar.gtpatterns import tokuyama_rhs
 from spinchar.laurent import LaurentPoly, Monomial, prod
 from spinchar.rootdata import (
     character,
@@ -15,6 +16,8 @@ from spinchar.rootdata import (
     weyl_dimension,
     weyl_numerator,
 )
+from spinchar.tableaux import corollary_rhs
+from spinchar.whittaker import gh_check, h_coeff, h_flat, h_support, prop3_check
 
 
 def test_lambda_to_evee():
@@ -163,6 +166,35 @@ def test_dimension_oracle(r, bound):
         chi = character(lam, r)  # exact division must succeed
         point = {f"z{i}": 1 for i in range(1, r + 1)}
         assert chi.evaluate(point) == weyl_dimension(lam, r)
+
+
+@pytest.mark.parametrize("lam", [(-1,), (-2,), (0, -1), (-3, 1)])
+def test_dimension_refuses_non_dominant_weights(lam):
+    with pytest.raises(ValueError, match="dominant"):
+        weyl_dimension(lam)
+
+
+_EMPTY_WEIGHT_CALLS = [
+    (character, ((),)),
+    (tokuyama_rhs, ((),)),
+    (corollary_rhs, ((),)),
+    (gh_check, ((),)),
+    (prop3_check, ((),)),
+    (weyl_numerator, ((),)),
+    (weyl_dimension, ((),)),
+    (h_coeff, ((), ())),
+    (h_flat, ((), ())),
+    (h_support, ((),)),
+    (rho, (0,)),
+    (deformed_denominator, (0,)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args", _EMPTY_WEIGHT_CALLS, ids=[fn.__name__ for fn, _ in _EMPTY_WEIGHT_CALLS])
+def test_rank_zero_is_refused(fn, args):
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        fn(*args)
 
 
 def test_division_exact_up_to_three():
