@@ -52,7 +52,7 @@ from math import comb
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, Monomial, mul_terms
-from .rootdata import dominant, shifted_weight, strictly_decreasing, top_row
+from .rootdata import dominant, nonempty, shifted_weight, strictly_decreasing, top_row
 
 MAXIMAL = "maximal"
 MINIMAL = "minimal"
@@ -360,7 +360,7 @@ def enumerate_strict(mu):
     Deterministic order: row-major, entries descending.  The stream is empty
     when the top row itself is not strictly decreasing.
     """
-    top = top_row(mu)
+    top = top_row(nonempty(mu))
     if strictly_decreasing(top):
         yield from _patterns_below(len(top), (top,), ())
 
@@ -473,7 +473,7 @@ def circle_sum(mu) -> dict:
     (-1)^(max1/2) = (-1)^max (-1)^(max - max1/2).  That needs max1 even,
     which is checked on every kept slice, so on every circle pattern.
     """
-    top = top_row(mu)
+    top = top_row(nonempty(mu))
 
     def score(a0, b1, a1):
         s = ShortGTPattern(a0, b1, a1)

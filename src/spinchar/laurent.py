@@ -9,9 +9,11 @@ coefficients.  A monomial is keyed by one flat tuple of *doubled* exponents,
 t included, so half-integer exponents are exact integers and every
 exponent is handled the same way; no floating point is used anywhere in
 this module.  The t slot is even and >= 0.  Monomial(z, t, q) builds a key
-and is the one place that knows this order; LaurentPoly._slot maps a
-variable name to its position in the key.  Multiplying monomials adds their
-keys element by element.
+and LaurentPoly._slot maps a variable name to its position in it.  Outside
+this module, a few hot loops rely on the order directly: padic._expand and
+whittaker.h_table write rank-0 keys (0, q), and whittaker._at_minus_qinv
+reads the t and q slots as mono[r] and mono[r + 1].  Multiplying monomials
+adds their keys element by element.
 
 The zero polynomial has an empty term map.  Keys compare lexicographically,
 which orders terms as (z, t, q) and is a total order compatible with
@@ -567,29 +569,22 @@ class LaurentPoly:
         """Inverse of str(): accepts exactly the text str() writes, up to
         surrounding whitespace, and raises ValueError on anything else."""
         text = text.strip()
-        if text == "0":
-            return LaurentPoly.zero(rank)
         shell = LaurentPoly.zero(rank)  # owns the variable layout
         terms: dict = {}
         for chunk in text.split(" + "):
-            pieces = chunk.split(" * ")
-            coef = int(pieces[0])
+            coef, _, factors = chunk.partition(" * ")
             e = [0] * (rank + 2)
-            named = set()  # a term names each variable once, as str() writes it
-            if len(pieces) == 2:
-                for factor in pieces[1].split():
-                    m = _FACTOR_RE.match(factor)
-                    if not m:
-                        raise ValueError(f"bad factor {factor!r}")
-                    name, exp = m.groups()
-                    if name in named:
-                        raise ValueError(f"variable {name} named twice in term {chunk!r}")
-                    named.add(name)
-                    e[shell._slot(name)] = 2 if exp is None else _twice(exp)
-            elif len(pieces) > 2:
-                raise ValueError(f"bad term {chunk!r}")
+            for factor in factors.split():
+                m = _FACTOR_RE.match(factor)
+                if not m:
+                    raise ValueError(f"bad factor {factor!r}")
+                name, exp = m.groups()
+                e[shell._slot(name)] = 2 if exp is None else _twice(exp)
             mono = tuple(e)
-            terms[mono] = terms.get(mono, 0) + coef
+            terms[mono] = terms.get(mono, 0) + int(coef)
+        # The round trip is the grammar check: str() writes "0" for zero and
+        # each variable once per term, so a repeat, a second " * " or a
+        # folded term comes back as other text.
         poly = LaurentPoly(terms, rank)
         if str(poly) != text:
             raise ValueError(f"{text!r} is not written as str() writes it")

@@ -57,7 +57,7 @@ import numpy as np
 
 from .gtpatterns import c_stats
 from .laurent import LaurentPoly, Monomial
-from .rootdata import top_row, upsilon
+from .rootdata import nonempty, top_row, upsilon
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -145,13 +145,9 @@ def l_vector(t: ShortPatternB) -> tuple:
     r, d = t.r, (0,) + t.d  # 1-based with d_0 = 0
     if r < 2:
         raise ValueError("l_vector needs rank >= 2")
-    out = []
-    for i in range(1, r):
-        out.append(sum(d[1 : i + 1]))
-    out.append(d[r] + 2 * sum(d[1:r]))
-    for ip in range(1, r):
-        out.append(d[r] - d[ip - 1] + sum(d[r + 1 : r + ip + 1]) + sum(d[1:r]))
-    return tuple(out)
+    P = tuple(itertools.accumulate(d))  # P_i = d_1 + ... + d_i
+    # L_i = P_i (i < r), L_r = P_{r-1} + P_r, L_{r+j} = P_{r+j} - d_{j-1}
+    return P[1:r] + (P[r - 1] + P[r],) + tuple(P[r + j] - d[j - 1] for j in range(1, r))
 
 
 def preconditions_hold(t: ShortPatternB) -> bool:
@@ -246,11 +242,9 @@ def closed_form_G(t: ShortPatternB) -> LaurentPoly | None:
 
 
 def k_vector_B(t: ShortPatternB) -> tuple:
-    r, d = t.r, (0,) + t.d
-    return tuple(
-        sum(d[i : 2 * r]) + sum(d[2 * r - j] for j in range(1, i))
-        for i in range(1, r + 1)
-    )
+    """k_i = c_i + c_{2r+1-i} (i <= r) for the entries c = top_row(d), c_{2r} = 0."""
+    c = top_row(t.d) + (0,)
+    return tuple(c[i] + c[-1 - i] for i in range(t.r))
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -418,31 +412,30 @@ def _caps_C(d, muprime) -> tuple:
     )
 
 
-def _tuple_C(d, muprime) -> tuple:
+def _tuple_C(d, r: int) -> tuple:
     """d as a tuple; ValueError unless it has length 2r-1."""
     d = tuple(d)
-    if len(d) != 2 * len(muprime) - 1:
+    if len(d) != 2 * r - 1:
         raise ValueError("d must have length 2r-1")
     return d
 
 
 def in_cqc(d, muprime) -> bool:
-    d = _tuple_C(d, muprime)
+    d = _tuple_C(d, len(muprime))
     return all(x <= c for x, c in zip(d, _caps_C(d, muprime)))
 
 
 def delta_c_entries(d, r: int) -> tuple:
-    """Entries (c_1, ..., c_r, cbar_{r-1}, ..., cbar_1); d_r enters c_r twice."""
-    d = tuple(d)
-    cbar = list(itertools.accumulate(reversed(d[r:]), initial=0))  # cbar_0..cbar_{r-1}
-    # c_r = cbar_{r-1} + 2 d_r, then c_j = c_{j+1} + d_j down to c_1
-    c = itertools.accumulate(reversed(d[: r - 1]), initial=cbar[-1] + 2 * d[r - 1])
-    return tuple(c)[::-1] + tuple(cbar[:0:-1])
+    """Entries (c_1, ..., c_r, cbar_{r-1}, ..., cbar_1): the flavor-B entries
+    top_row(d) with d_r added to the first r, so d_r enters c_r twice."""
+    d = _tuple_C(d, r)
+    c = top_row(d)
+    return tuple(x + d[r - 1] for x in c[:r]) + c[r:]
 
 
 def decorate_C_literal(d, muprime) -> DecoratedArray:
     """Flavor-C decorations straight from the stated equalities."""
-    d = _tuple_C(d, muprime)
+    d = _tuple_C(d, len(muprime))
     boxed = tuple(x == c for x, c in zip(d, _caps_C(d, muprime)))
     circled = tuple(x == 0 for x in d)
     return DecoratedArray(delta_c_entries(d, len(muprime)), boxed, circled)
@@ -502,15 +495,11 @@ def g_delta_C(arr: DecoratedArray) -> LaurentPoly:
 
 
 def k_vector_C(d, r: int) -> tuple:
-    dd = (0,) + tuple(d)
-    kr = sum(dd[2 * r - j] for j in range(1, r + 1))
-    out = []
-    for i in range(1, r):
-        out.append(
-            sum(dd[i : 2 * r]) + dd[r] + sum(dd[2 * r - j] for j in range(1, i))
-        )
-    out.append(kr)
-    return tuple(out)
+    """k_i = c_i + d_r + c_{2r+1-i} (i < r) and k_r = c_r for the entries
+    c = top_row(d), c_{2r} = 0."""
+    d = _tuple_C(d, r)
+    c = top_row(d) + (0,)
+    return tuple(c[i] + d[r - 1] + c[-1 - i] for i in range(r - 1)) + (c[r - 1],)
 
 
 def iter_cqc(muprime):
@@ -530,7 +519,7 @@ def cqc_layer_sums(muprime: tuple):
     One pass tallies the weight triples (sign, e, gen) of the pulled-back
     flags per k-vector; each bucket is expanded once.
     """
-    r, a0 = len(muprime), top_row(muprime)
+    r, a0 = len(muprime), top_row(nonempty(muprime))
     buckets = {}
     for d in iter_cqc(muprime):
         w = _count_weights(_pullback_flags_C(d, a0))
@@ -551,10 +540,12 @@ def omega_sets(mu, kind: str, weighting: str = None, k: int = None, i: int = Non
     d_i related to mu_i by ``kind``; optionally filtered/solved by a
     weighting value k (weighting "A": sum d_j; "B": d_r + 2 sum_{j<r} d_j).
     """
-    mu = tuple(mu)
+    mu = nonempty(mu)
     r = len(mu)
     if i is None:
         i = r
+    if not 1 <= i <= r:
+        raise ValueError(f"i must be in 1..{r}")
     if kind not in _RELATIONS:
         raise ValueError(f"unknown kind {kind!r}")
     related = _RELATIONS[kind]
@@ -725,7 +716,7 @@ def psi_k(d, kvec, mu):
 
 def iter_cq1_with_k(mu, kvec):
     """Flavor-B tuples with the given weighting vector (finite fiber)."""
-    mu = tuple(mu)
+    mu = nonempty(mu)
     kvec = tuple(kvec)
     r = len(mu)
     deltas = [kvec[i - 1] - kvec[i] for i in range(1, r)]

@@ -56,6 +56,14 @@ def shifted_weight(lam) -> tuple:
     return upsilon(l + 1 for l in lam)
 
 
+def nonempty(mu) -> tuple:
+    """mu as a tuple; ValueError unless its rank is at least 1."""
+    mu = tuple(mu)
+    if not mu:
+        raise ValueError("rank must be >= 1")
+    return mu
+
+
 def top_row(mu) -> tuple:
     """Partial sums from the right: (mu_1+...+mu_r, mu_2+...+mu_r, ..., mu_r)."""
     return tuple(itertools.accumulate(reversed(tuple(mu))))[::-1]
@@ -72,7 +80,7 @@ def strictly_decreasing(row) -> bool:
 
 
 def upsilon_inverse(mu) -> tuple:
-    mu = tuple(mu)
+    mu = nonempty(mu)
     if any(m % 2 for m in mu[:-1]):
         raise ValueError(f"{mu} is not in the image of the doubling map")
     return tuple(m // 2 for m in mu[:-1]) + (mu[-1],)
@@ -132,11 +140,9 @@ def dominant(lam, r: int = None) -> tuple:
     lam = tuple(lam)
     if r is not None and len(lam) != r:
         raise ValueError("length of lambda must equal the rank")
-    if not lam:
-        raise ValueError("rank must be >= 1")
     if any(l < 0 for l in lam):
         raise ValueError("lambda must be dominant (nonnegative coordinates)")
-    return lam
+    return nonempty(lam)
 
 
 def character(lam, r: int = None) -> LaurentPoly:

@@ -632,3 +632,21 @@ def test_every_drawn_call_keeps_the_cli_contract(data):
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
     elif prefix[0] == "verify":
         assert json.loads(out.getvalue())["verdict"] == ("pass", "fail")[code], argv
+
+
+def test_output_digest_is_stable_and_reads_argv():
+    # scripts/output_digest.py is loaded by path; its digest covers argv,
+    # stdout, stderr and exit code, a usage error's SystemExit included
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    jobs = [
+        ("verify", "prop5", "--mu", "2,2"),
+        ("enumerate", "cq", "--muprime", "4,2", "--format", "csv"),
+        ("verify", "prop5", "--no-such-flag"),
+    ]
+    n, first = script.digest(jobs)
+    assert (n, first) == script.digest(jobs) and n == 3
+    changed = jobs[:1] + [jobs[1][:-1] + ("jsonl",)] + jobs[2:]
+    assert script.digest(changed)[1] != first

@@ -24,6 +24,7 @@ from spinchar.padic import (
     decorate_C_literal,
     decorate_C_pullback,
     delta_C_resonant,
+    delta_c_entries,
     g_delta,
     g_delta_C,
     i_box,
@@ -608,6 +609,78 @@ def test_flavor_b_weighting_vector():
     assert in_cq1(t)
     assert resonant_lift((1, 2)) == (1, 2, 1)
     assert resonant_lift((1, 2, 3)) == (1, 2, 3, 2, 1)
+
+
+# -- the partial sums, as nested slice sums --------------------------------
+# The bodies these functions had before they read one array (top_row(d) or
+# its prefix sums), kept as the oracles of the partial-sum identities.
+
+
+def _l_vector_by_slices(t):
+    r, d = t.r, (0,) + t.d
+    out = [sum(d[1 : i + 1]) for i in range(1, r)]
+    out.append(d[r] + 2 * sum(d[1:r]))
+    for ip in range(1, r):
+        out.append(d[r] - d[ip - 1] + sum(d[r + 1 : r + ip + 1]) + sum(d[1:r]))
+    return tuple(out)
+
+
+def _k_vector_B_by_slices(t):
+    r, d = t.r, (0,) + t.d
+    return tuple(
+        sum(d[i : 2 * r]) + sum(d[2 * r - j] for j in range(1, i))
+        for i in range(1, r + 1)
+    )
+
+
+def _delta_c_entries_by_accumulation(d, r):
+    cbar = list(itertools.accumulate(reversed(d[r:]), initial=0))
+    c = itertools.accumulate(reversed(d[: r - 1]), initial=cbar[-1] + 2 * d[r - 1])
+    return tuple(c)[::-1] + tuple(cbar[:0:-1])
+
+
+def _k_vector_C_by_slices(d, r):
+    dd = (0,) + tuple(d)
+    out = [
+        sum(dd[i : 2 * r]) + dd[r] + sum(dd[2 * r - j] for j in range(1, i))
+        for i in range(1, r)
+    ]
+    out.append(sum(dd[2 * r - j] for j in range(1, r + 1)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_entries_and_weighting_vectors_match_the_slice_sums(r):
+    for d in itertools.product(range(4), repeat=2 * r - 1):
+        assert delta_c_entries(d, r) == _delta_c_entries_by_accumulation(d, r), d
+        assert k_vector_C(d, r) == _k_vector_C_by_slices(d, r), d
+        t = ShortPatternB((1,) * r, d)
+        assert k_vector_B(t) == _k_vector_B_by_slices(t), d
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_l_vector_matches_the_slice_sums(r):
+    for d in itertools.product(range(3), repeat=2 * r - 1):
+        t = ShortPatternB((1,) * r, d)
+        assert l_vector(t) == _l_vector_by_slices(t), d
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: list(omega_sets((1, 1), "<=", i=0)), r"i must be in 1\.\.2"),
+        (lambda: list(omega_sets((1, 1), "<=", i=3)), r"i must be in 1\.\.2"),
+        (lambda: delta_c_entries((1, 2), 2), "d must have length 2r-1"),
+        (lambda: k_vector_C((1, 2), 2), "d must have length 2r-1"),
+    ],
+    ids=["omega_sets-i=0", "omega_sets-i=r+1", "delta_c_entries-short",
+         "k_vector_C-short"],
+)
+def test_out_of_range_index_or_length_is_refused(call, message):
+    # i = 0 gave 3-tuples for a rank-2 mu and i = r + 1 an IndexError; the
+    # short d gave a 2-tuple of entries and an IndexError
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_resonant_closed_G_raises_without_asserts():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinchar.gtpatterns import tokuyama_rhs
+from spinchar.gtpatterns import circle_sum, enumerate_strict, tokuyama_rhs
 from spinchar.laurent import LaurentPoly, Monomial, prod
+from spinchar.padic import cqc_layer_sums, omega_sets, prop5_sides, prop6_check
 from spinchar.rootdata import (
     character,
     deformed_denominator,
@@ -187,6 +188,13 @@ _EMPTY_WEIGHT_CALLS = [
     (h_support, ((),)),
     (rho, (0,)),
     (deformed_denominator, (0,)),
+    (enumerate_strict, ((),)),
+    (circle_sum, ((),)),
+    (cqc_layer_sums, ((),)),
+    (upsilon_inverse, ((),)),
+    (prop5_sides, ((), 0)),
+    (prop6_check, ((), (), 3)),
+    (omega_sets, ((), "<=")),
 ]
 
 
@@ -194,7 +202,7 @@ _EMPTY_WEIGHT_CALLS = [
     "fn,args", _EMPTY_WEIGHT_CALLS, ids=[fn.__name__ for fn, _ in _EMPTY_WEIGHT_CALLS])
 def test_rank_zero_is_refused(fn, args):
     with pytest.raises(ValueError, match="rank must be >= 1"):
-        fn(*args)
+        list(fn(*args))  # list() runs the generators
 
 
 def test_division_exact_up_to_three():
