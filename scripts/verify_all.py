@@ -80,6 +80,8 @@ JOBS += [
     ("lemma10-equiv", ["--mu", "2,2"]),
     ("lemma10-equiv", ["--mu", "4,3"]),
     ("lemma10-equiv", ["--mu", "2,2,1"]),
+    ("lemma10-equiv", ["--mu", "2,2,2"]),
+    ("lemma10-equiv", ["--mu", "1,1,1,1"]),
 ]
 
 

@@ -243,20 +243,27 @@ def _verify_lemma3(args) -> Report:
     return rep
 
 
+def _lemma10_score(*rows):
+    """(0, fails the c-statistic test, fails the row-parity test), 1 of a slice."""
+    s = gtpatterns.ShortGTPattern(*rows)
+    return (0, int(not s.in_circle()), int(not s.in_circle_by_row_parity())), 1
+
+
 def _verify_lemma10(args) -> Report:
     mu = _top_mu(args)
     mup = rootdata.upsilon(mu)
     rep = Report("lemma10-equiv", {"mu": list(mu), "top_parameter": list(mup)})
-    n = 0
-    for p in gtpatterns.enumerate_strict(mup):
-        n += 1
-        a = gtpatterns.gt_circle_by_cstat(p)
-        b = gtpatterns.gt_circle_by_row_parity(p)
-        if a != b:
-            rep.mismatches.append(
-                {"rows": [list(row) for row in p.rows()], "cstat": a, "rows_parity": b}
-            )
-    rep.counts = {"patterns": n}
+    # Counted by slice_walk; enumerated only to list where the tests split.
+    tally = gtpatterns.slice_walk(rootdata.top_row(mup), _lemma10_score)
+    if any((key[-2] == 0) != (key[-1] == 0) for key in tally):
+        for p in gtpatterns.enumerate_strict(mup):
+            a = gtpatterns.gt_circle_by_cstat(p)
+            b = gtpatterns.gt_circle_by_row_parity(p)
+            if a != b:
+                rep.mismatches.append(
+                    {"rows": [list(row) for row in p.rows()], "cstat": a, "rows_parity": b}
+                )
+    rep.counts = {"patterns": sum(tally.values())}
     return rep
 
 
@@ -280,24 +287,13 @@ _VERIFIERS = {
 
 def _enumerate_patterns(args) -> None:
     """gt / tableaux: one JSON line per strict pattern of top --mu, or per
-    tableau it maps to.  The per-record functions are looked up on each
-    call, so that wrappers installed on their modules see the calls."""
+    tableau it maps to, written as the record walk yields them; --limit
+    stops the walk."""
     limit = _at_least(args.limit, "--limit", 1)
-    mu = _top_mu(args)
-    tab = args.kind == "tableaux"
-    in_circle = tableaux.in_st_circle if tab else gtpatterns.in_gt_circle
-    to_json = tableaux.tableau_json if tab else gtpatterns.GTPattern.to_json
-    out = sys.stdout
-    n = 0
-    for p in gtpatterns.enumerate_strict(mu):
-        if tab:
-            p = tableaux.from_gt(p)
-        if args.circle_only and not in_circle(p):
-            continue
-        out.write(to_json(p) + "\n")
-        n += 1
-        if n == limit:
-            break
+    walk = tableaux.tableau_records if args.kind == "tableaux" else gtpatterns.pattern_records
+    records = (text for circle, text in walk(_top_mu(args)) if circle or not args.circle_only)
+    for text in itertools.islice(records, limit):
+        sys.stdout.write(text + "\n")
 
 
 def _enumerate_omega(args) -> None:

@@ -35,10 +35,12 @@ refuses a negative share of t, and both sides come out as the same signed
 tally {(w_1..w_r, 2t, n): count}, nonzero counts only, which expand_tally
 expands.  enumerate_strict with in_gt_circle is the independent oracle.
 
-Records are written from str.format templates, made once per rank by
-json_template from a skeleton record, so json still sets the key order
-and separators; GTPattern.to_json fills its template from the slices'
-entries in slice order, and tableaux.tableau_json uses the same helper.
+Records are written by prefix_walk, which descends _slices_below in
+enumerate_strict's order carrying each record's prefix, and makes each
+distinct slice's share once.  pattern_records and tableaux.tableau_records
+fill a str.format template per rank (json_template, so json still sets
+the key order and separators) at each leaf; GTPattern.to_json and
+tableaux.tableau_json fold one pattern's slices through the same shares.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import count
 from math import comb
 from typing import NamedTuple
@@ -111,17 +113,8 @@ class GTPattern:
         return tuple(s.wt1() for s in self.slices)
 
     def to_json(self) -> str:
-        """The pattern's JSONL record: _pattern_template(rank) filled with
-        its rows, statistics, weight, circle flag and, slice by slice, the
-        (class, c-statistic) of each entry."""
-        values = [v for row in self.rows() for v in row]
-        values += self.stats()
-        values += self.wt()
-        values.append("true" if in_gt_circle(self) else "false")
-        for s in self.slices:
-            for cls, c in s.entries.values():
-                values += (_QUOTED[cls], c)
-        return _pattern_template(self.rank).format(*values)
+        """The pattern's JSONL record: pattern_records' fold over its slices."""
+        return fold(self.arows, self.brows, _gt_parts)[1]
 
 
 class PatternStats(NamedTuple):
@@ -268,32 +261,55 @@ def slot(k: int) -> str:
     return f"\0{k}"
 
 
-_QUOTED = {cls: json.dumps(cls) for cls in (MAXIMAL, MINIMAL, GENERIC)}
-
-
 @lru_cache(maxsize=64)
 def _pattern_template(r: int) -> str:
-    """GTPattern.to_json's template at rank r.  Its fields are the rows in
-    display order, stats, wt, in_circle, then (class, c-statistic) of each
-    entry, slice by slice in ShortGTPattern.entries order."""
+    """The gt record's template at rank r, its fields in walk order: row a_0;
+    per slice b_i, a_i, wt_i, (class, c) per entry; stats; in_circle."""
     slots = map(slot, count())
-    rows = [[next(slots) for _ in range(n)] for n in range(r, 0, -1) for _ in "ab"]
-    record = {
-        "rank": r,
-        "rows": rows,
-        "stats": [next(slots) for _ in PatternStats._fields],
-        "wt": [next(slots) for _ in range(r)],
-        "in_circle": next(slots),
-        "classes": {},
-        "cstats": {},
-    }
-    for i in range(1, r + 1):  # slice i = rows a_{i-1}, b_i, a_i
-        keys = [("b", 1)] + [(kind, j) for j in range(2, r - i + 2) for kind in "ba"]
-        for kind, j in keys:
+    rows, wt, classes, cstats = [[next(slots) for _ in range(r)]], [], {}, {}
+    for i, n in enumerate(range(r, 0, -1), 1):  # slice i = rows a_{i-1}, b_i, a_i
+        rows += [[next(slots) for _ in range(n)], [next(slots) for _ in range(n - 1)]]
+        wt.append(next(slots))
+        for kind, j in [("b", 1)] + [(kind, j) for j in range(2, n + 1) for kind in "ba"]:
             name = f"{kind}{i},{j + i - 1}"
-            record["classes"][name] = next(slots)
-            record["cstats"][name] = next(slots)
-    return json_template(record)
+            classes[name], cstats[name] = next(slots), next(slots)
+    return json_template({
+        "rank": r, "rows": rows[:-1],  # a_r is empty, not a row
+        "wt": wt, "classes": classes, "cstats": cstats,
+        "stats": [next(slots) for _ in PatternStats._fields], "in_circle": next(slots),
+    })
+
+
+def _gt_share(a0, b1, a1) -> tuple:
+    """A slice's share of a gt record: the slice, and its fields (b_i, a_i,
+    wt_i, (class, c) per entry) in _pattern_template's order."""
+    s = _slice(a0, b1, a1)
+    entries = [v for cls, c in s.entries.values() for v in (json.dumps(cls), c)]
+    return s, (*b1, *a1, s.wt1(), *entries)
+
+
+def _gt_step(prefix, share) -> tuple:
+    """A gt prefix (fields, stats, in circle) joined to the next slice; the
+    guard runs on the slices in_gt_circle reaches."""
+    fields, stats, circle = prefix
+    s, more = share
+    return fields + more, tuple(map(int.__add__, stats, s._stats)), circle and _in_circle(s)
+
+
+def _gt_parts(top) -> tuple:
+    """prefix_walk's share, step, leaf and start of gt records under top."""
+    fmt = _pattern_template(len(top)).format
+
+    def leaf(prefix):
+        fields, stats, circle = prefix
+        return circle, fmt(*fields, *stats, "true" if circle else "false")
+
+    return _gt_share, _gt_step, leaf, (tuple(top), (0, 0, 0, 0), True)
+
+
+def pattern_records(mu):
+    """(in_circle, JSONL record) of each pattern of enumerate_strict(mu), in its order."""
+    return prefix_walk(top_row(nonempty(mu)), _gt_parts)
 
 
 # -- enumeration -----------------------------------------------------------
@@ -373,6 +389,33 @@ def _patterns_below(r, arows, brows):
             yield from _patterns_below(r, arows + (a1,), brows + (b,))
         else:
             yield GTPattern(r, arows, brows + (b,))
+
+
+def prefix_walk(top, parts):
+    """leaf(prefix) of each strict pattern of top ``top`` in enumerate_strict's
+    order, parts(top) being (share, step, leaf, start): a prefix folds
+    step(prefix, share(a0, b1, a1)) over slices from start, once for all the
+    patterns that extend it, and each distinct slice's share is made once."""
+    if strictly_decreasing(top):
+        yield from _prefix_below({}, *parts(top), top)
+
+
+def _prefix_below(shares, share, step, leaf, prefix, arow):
+    """prefix_walk below ``arow``, under ``prefix``; module-level, so no closure cycle."""
+    below = shares.get(arow)
+    if below is None:
+        below = shares[arow] = [(a1, share(arow, b1, a1)) for b1, a1 in _slices_below(arow)]
+    for a1, part in below:
+        if a1:
+            yield from _prefix_below(shares, share, step, leaf, step(prefix, part), a1)
+        else:
+            yield leaf(step(prefix, part))
+
+
+def fold(arows, brows, parts):
+    """prefix_walk's leaf of the one pattern with rows arows, brows."""
+    share, step, leaf, start = parts(arows[0])
+    return leaf(reduce(step, (share(*rows) for rows in slice_rows(arows, brows)), start))
 
 
 # -- the circle subset ------------------------------------------------------

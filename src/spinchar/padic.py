@@ -719,6 +719,8 @@ def iter_cq1_with_k(mu, kvec):
     mu = nonempty(mu)
     kvec = tuple(kvec)
     r = len(mu)
+    if len(kvec) != r:
+        raise ValueError(f"k must have {r} entries, as mu has")
     deltas = [kvec[i - 1] - kvec[i] for i in range(1, r)]
     budget_front = 2 * kvec[0] - kvec[r - 1]
     for head in itertools.product(*(range(mu[j] + 1) for j in range(r - 1))):

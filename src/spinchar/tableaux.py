@@ -15,9 +15,10 @@ m' and m.  A tableau made by from_gt carries its pattern's rows, which
 count_rows returns without counting; a tableau made from its cells alone
 is counted, by bisection in its sorted rows.
 
-The JSONL record (tableau_json) fills a str.format template made once per
-rank and number of rows by gtpatterns.json_template, with each row's JSON
-text cached by row.
+The JSONL records (tableau_records, or tableau_json for one tableau) are
+written by gtpatterns.prefix_walk over the strips: each strip's share of
+the fields and of each row's text is made once, and prepended, as the walk
+meets the symbols r..1.
 
 Ribbon strips here are per-value: the cells holding one fixed symbol,
 with horizontal/vertical cell adjacency; str(S) totals their connected
@@ -48,15 +49,16 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 from typing import NamedTuple, Optional
 
 from .gtpatterns import (
-    GTPattern, enumerate_strict, expand_tally, json_template, slice_rows, slice_walk, slot,
+    GTPattern, enumerate_strict, expand_tally, fold, json_template, prefix_walk, slice_rows,
+    slice_walk, slot,
 )
 from .laurent import LaurentPoly
-from .rootdata import dominant, shifted_weight, strictly_decreasing, top_row
+from .rootdata import dominant, nonempty, shifted_weight, strictly_decreasing, top_row
 
 
 def barred(m: int) -> int:
@@ -368,42 +370,58 @@ def _corollary_rhs_by_enumeration(lam, r: int = None) -> LaurentPoly:
 
 
 def tableau_json(s: Tableau) -> str:
-    """The tableau's JSONL record: _tableau_template(rank, rows) filled with
-    the JSON text of each row (_row_json), the shape and the statistics."""
-    strips = symbol_strips(s)
-    st = _statistics(strips)
-    values = [_row_json(row) for row in s.rows]
-    values += s.shape
-    values += (st.str_total, st.hgtbar)
-    values += st.x
-    values += st.xbar
-    values += st.wt
-    # str of a list of ints is its JSON text
-    values.append("null" if st.l_values is None else str(list(st.l_values)))
-    values.append("true" if all(strip.in_circle for strip in strips) else "false")
-    return _tableau_template(s.rank, len(s.rows)).format(*values)
+    """The tableau's JSONL record: tableau_records' fold over its count rows."""
+    return fold(*count_rows(s), _tableau_parts)[1]
 
 
 @lru_cache(maxsize=256)
 def _tableau_template(r: int, n: int) -> str:
-    """tableau_json's template for rank r and n rows.  Its fields are the
-    rows, shape, str, hgtbar, x, xbar, wt, l and in_circle."""
+    """tableau_json's template for rank r and n rows, its fields in walk order:
+    shape; x, xbar, wt of m = r..1; r row texts (n used); str; hgtbar; l; in_circle."""
     slots = map(slot, count())
+    shape = [next(slots) for _ in range(n)]
+    by_m = [[next(slots) for _ in "xbw"] for m in range(r, 0, -1)]
     return json_template({
-        "rank": r,
-        "rows": [next(slots) for _ in range(n)],
-        "shape": [next(slots) for _ in range(n)],
-        "str": next(slots),
-        "hgtbar": next(slots),
-        "x": [next(slots) for _ in range(r)],
-        "xbar": [next(slots) for _ in range(r)],
-        "wt": [next(slots) for _ in range(r)],
-        "l": next(slots),
-        "in_circle": next(slots),
+        "rank": r, "shape": shape, "x": [f[0] for f in by_m[::-1]],
+        "xbar": [f[1] for f in by_m[::-1]], "wt": [f[2] for f in by_m],
+        "rows": [[next(slots)] for _ in range(r)][:n],
+        "str": next(slots), "hgtbar": next(slots), "l": next(slots), "in_circle": next(slots),
     })
 
 
-@lru_cache(maxsize=1 << 12)
-def _row_json(row: tuple) -> str:
-    """The JSON text of one row's symbol names."""
-    return json.dumps([symbol_name(c) for c in row])
+def _tableau_share(r: int, hi: tuple, mid: tuple, lo: tuple) -> tuple:
+    """Symbol m's share of a rank-r tableau record, m = len(hi): its x, xbar
+    and wt, the text of its cells in each row (led by ", ", as the walk
+    prepends it), its shares of str and hgtbar, its l and its circle flag."""
+    st, m = _strip(hi, mid, lo), len(hi)
+    bar, full = (", " + json.dumps(symbol_name(c)) for c in (barred(m), unbarred(m)))
+    cells = [bar * (v - w) + full * (h - v) for h, v, w in zip(hi, mid, lo + (0,))]
+    return ((st.x, st.xbar, st.x - st.xbar), (*cells, *[""] * (r - m)),
+            st.con_u + st.con_b, st.row_b - st.con_b - st.row_u, st.l, st.in_circle)
+
+
+def _tableau_step(prefix, share) -> tuple:
+    """A tableau prefix joined to the strip of the next smaller symbol."""
+    fields, rows, strt, hgt, ls, circle = prefix
+    more, cells, dstr, dhgt, l, kept = share
+    return (fields + more, tuple(map(str.__add__, cells, rows)), strt + dstr, hgt + dhgt,
+            (l, *ls), circle and kept)
+
+
+def _tableau_parts(top) -> tuple:
+    """prefix_walk's share, step, leaf and start of tableau records under top."""
+    r, shape = len(top), tuple(v for v in top if v)
+    fmt = _tableau_template(r, len(shape)).format
+
+    def leaf(prefix):
+        fields, rows, strt, hgt, ls, circle = prefix
+        l = "null" if None in ls else str(list(ls))  # str of an int list is its JSON
+        return circle, fmt(*fields, *[row[2:] for row in rows], strt, hgt, l,
+                           "true" if circle else "false")
+
+    return partial(_tableau_share, r), _tableau_step, leaf, (shape, ("",) * r, 0, 0, (), True)
+
+
+def tableau_records(mu):
+    """(in_circle, JSONL record) of each tableau from enumerate_strict(mu), in its order."""
+    return prefix_walk(top_row(nonempty(mu)), _tableau_parts)

@@ -162,8 +162,8 @@ def test_theorem1_reports_the_difference_of_spoiled_sides(monkeypatch):
          {"k", "lhs", "rhs"}),
         (["lemma3", "--mu", "2,1"], padic, "lemma3_closed",
          lambda value, s, mu: value + LaurentPoly.one(0), {"s", "direct", "closed"}),
-        (["lemma10-equiv", "--mu", "2,2"], gtpatterns, "gt_circle_by_cstat",
-         lambda value, p: not value, {"rows", "cstat", "rows_parity"}),
+        (["lemma10-equiv", "--mu", "2,2"], gtpatterns.ShortGTPattern, "in_circle",
+         lambda value, s: not value, {"rows", "cstat", "rows_parity"}),
     ],
     ids=["corollary2", "gh", "prop3", "prop4-closed-form", "prop4-no-closed-form",
          "prop5", "prop6", "lemma3", "lemma10-equiv"],
@@ -309,6 +309,19 @@ def test_record_writers_match_the_dict_oracle(kind, mu, extra):
         if len(expected) == 50 and "--limit" in extra:
             break
     assert out.getvalue().splitlines() == expected
+
+
+@pytest.mark.parametrize("mu", [(2, 1, 0), (2, 2, 1), (1, 1, 1, 1)])
+def test_single_record_writers_match_the_dict_oracle(mu):
+    # GTPattern.to_json and tableau_json fold one pattern's slices (one
+    # tableau's strips) through the walk's shares; a tableau counted from its
+    # cells writes the record of the one made by from_gt
+    for p in gtpatterns.enumerate_strict(mu):
+        assert p.to_json() == _pattern_record(p)
+        s = tableaux.from_gt(p)
+        record = _tableau_record(tableaux.Tableau(p.rank, s.rows))
+        assert tableaux.tableau_json(s) == record
+        assert tableaux.tableau_json(tableaux.Tableau(p.rank, s.rows)) == record
 
 
 def test_enumerate_zero_mu():

@@ -18,12 +18,13 @@ from spinchar.gtpatterns import (
     gt_circle_by_cstat,
     gt_circle_by_row_parity,
     in_gt_circle,
+    pattern_records,
     slice_walk,
     tokuyama_rhs,
     top_row,
 )
 from spinchar.laurent import LaurentPoly, Monomial, prod
-from spinchar.tableaux import _strip_key, corollary_rhs
+from spinchar.tableaux import _strip_key, corollary_rhs, tableau_records
 from spinchar.rootdata import (
     deformed_denominator,
     lambda_to_evee,
@@ -166,15 +167,20 @@ def test_slice_walk_frees_its_memo_on_return():
 
 
 def test_pattern_recursions_leave_no_cycles():
-    # the row and pattern recursions under both sums and the enumeration
-    # are module-level functions; as closures that named themselves, every
-    # call left a function-and-cell cycle for the gc
+    # the row and pattern recursions under both sums, the enumeration and
+    # both record walks are module-level functions; as closures that named
+    # themselves, every call left a function-and-cell cycle for the gc.  A
+    # record walk is run to its end, and dropped after its first records as
+    # --limit drops it
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         corollary_rhs((0, 0, 0), 3)
         tokuyama_rhs((0, 0, 0), 3)
         list(enumerate_strict((1, 1, 1)))
+        for records in (pattern_records, tableau_records):
+            list(records((1, 1, 1)))
+            list(itertools.islice(records((1, 1, 1)), 5))
         gc.collect()
         garbage = Counter(type(o).__name__ for o in gc.garbage)
     finally:
@@ -213,6 +219,31 @@ def test_transfer_keeps_characterization_cross_check(monkeypatch, row_parity):
         # parity, so the slices below them are still checked
         with pytest.raises(RuntimeError):
             list(enumerate_circle((1, 1)))
+
+
+def _items_before_raise(items):
+    """(items yielded, whether a RuntimeError then stopped the stream)."""
+    n = 0
+    try:
+        for _ in items:
+            n += 1
+    except RuntimeError:
+        return n, True
+    return n, False
+
+
+@pytest.mark.parametrize(
+    "row_parity",
+    [lambda self: False, _always, _flipped_on_bottom_slices],
+    ids=["False", "True", "flipped-on-bottom-slices"],
+)
+@pytest.mark.parametrize("top", [upsilon((2, 1)), (1, 1), (2, 2, 1)], ids=str)
+def test_record_walk_guards_the_slices_in_gt_circle_reaches(monkeypatch, row_parity, top):
+    # the gt walk runs the guard on a slice only while the prefix above it is
+    # in the circle, so it stops at the record whose in_gt_circle raises first
+    monkeypatch.setattr(ShortGTPattern, "in_circle_by_row_parity", row_parity)
+    expected = _items_before_raise(map(in_gt_circle, enumerate_strict(top)))
+    assert _items_before_raise(pattern_records(top)) == expected
 
 
 def _rows_of_one_parity(n, hi):

@@ -683,6 +683,18 @@ def test_out_of_range_index_or_length_is_refused(call, message):
         call()
 
 
+@pytest.mark.parametrize("k", [(), (1,), (1, 1, 1)])
+@pytest.mark.parametrize(
+    "call", [padic.prop6_check, lambda mu, k, p: list(padic.iter_cq1_with_k(mu, k))],
+    ids=["prop6_check", "iter_cq1_with_k"],
+)
+def test_weighting_vector_of_the_wrong_length_is_refused(call, k):
+    # a short k raised IndexError and a long one the fiber's own
+    # AssertionError; both are refused before the fiber is built
+    with pytest.raises(ValueError, match="k must have 2 entries"):
+        call((1, 1), k, 3)
+
+
 def test_resonant_closed_G_raises_without_asserts():
     # a resonant middle the closed form does not cover stops the sum under
     # python -O too
